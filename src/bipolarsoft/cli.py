@@ -117,6 +117,21 @@ def cmd_check_laws(args) -> int:
     return 1 if failures else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipolarsoft",
@@ -149,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-laws", help="brute-force the law catalogue")
     p.add_argument("--law", action="append", help="check only this law id (repeatable)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--exhaustive", nargs=2, type=int, metavar=("M", "N"))
-    p.add_argument("--random", type=int, metavar="COUNT")
-    p.add_argument("--bounds", nargs=2, type=int, default=(6, 4), metavar=("M", "N"))
+    p.add_argument("--exhaustive", nargs=2, type=_int_at_least(1), metavar=("M", "N"))
+    p.add_argument("--random", type=_int_at_least(0), metavar="COUNT")
+    p.add_argument("--bounds", nargs=2, type=_int_at_least(1), default=(6, 4), metavar=("M", "N"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_check_laws)
 
@@ -163,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, BoundsTooLarge, UnknownLaw) as exc:

@@ -128,11 +128,17 @@ def parse(text: str) -> BipolarSoftSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply", "document") from None
     return from_document(doc)
 
 
 def load(path: str | Path) -> BipolarSoftSet:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
+    return parse(text)
 
 
 def dump(bss: BipolarSoftSet, path: str | Path) -> None:

@@ -1,9 +1,11 @@
 """Brute-force law checking over enumerated and seeded-random instances.
 
-Every algebraic law the library relies on is registered in a catalogue and
-can be checked against any instance source.  A law either holds on every
-supplied instance or the check stops at the first counterexample, which is
-stored in serialized form so the violation can be replayed later.
+Every algebraic law the library relies on is a row of one catalogue table
+and can be checked against any instance source: most rows are equations
+or order laws between two terms over the operands, and three conditional
+laws are written out.  A law either holds on every supplied instance or
+the check stops at the first counterexample, which is stored in serialized
+form so the violation can be replayed later.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
@@ -23,7 +25,7 @@ from .errors import BoundsTooLarge, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
 
-MAX_EXHAUSTIVE_CELLS = 12  # 3^12 sets; anything larger is declined
+MAX_EXHAUSTIVE_CELLS = 12  # 3^12 exhaustive instances per law; anything larger is declined
 
 
 # -- deterministic instance generation ---------------------------------------
@@ -52,32 +54,27 @@ def standard_space(m: int, n: int) -> ParameterSpace:
     )
 
 
+def _column(states: Iterable[int]) -> tuple[int, int]:
+    """One parameter's ``(pos, neg)`` masks from per-object states: 0 approve, 1 reject, 2 neutral."""
+    p = q = 0
+    for i, s in enumerate(states):
+        if s == 0:
+            p |= 1 << i
+        elif s == 1:
+            q |= 1 << i
+    return p, q
+
+
 def _draw(space: ParameterSpace, stream: Iterator[int]) -> BipolarSoftSet:
     # one stream value per cell, reduced to approve/reject/abstain
-    pos = []
-    neg = []
-    for _ in range(space.n):
-        p = 0
-        q = 0
-        for i in range(space.m):
-            r = next(stream) % 3
-            if r == 0:
-                p |= 1 << i
-            elif r == 1:
-                q |= 1 << i
-        pos.append(p)
-        neg.append(q)
-    return BipolarSoftSet(space, tuple(pos), tuple(neg))
+    columns = (_column(next(stream) % 3 for _ in range(space.m)) for _ in range(space.n))
+    pos, neg = zip(*columns)
+    return BipolarSoftSet(space, pos, neg)
 
 
 def gen_bss(seed: int, max_m: int = 6, max_n: int = 4) -> BipolarSoftSet:
     """One random instance; sizes and cells are drawn from the seeded stream."""
-    if max_m < 1 or max_n < 1:
-        raise ValueError("size bounds must be positive")
-    stream = _splitmix64(seed)
-    m = 1 + next(stream) % max_m
-    n = 1 + next(stream) % max_n
-    return _draw(standard_space(m, n), stream)
+    return next(random_tuples(seed, 1, 1, max_m, max_n))[0]
 
 
 def random_tuples(
@@ -94,38 +91,31 @@ def random_tuples(
         yield tuple(_draw(space, stream) for _ in range(arity))
 
 
-def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
-    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once."""
+def _check_exhaustive(m: int, n: int, arity: int) -> None:
+    """Decline an exhaustive pool whose ``arity``-tuples span more than 3^12 cases."""
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    if m * n > MAX_EXHAUSTIVE_CELLS:
+    if m * n * arity > MAX_EXHAUSTIVE_CELLS:
         raise BoundsTooLarge(
-            f"3^{m * n} sets exceed the enumerable limit of 3^{MAX_EXHAUSTIVE_CELLS}"
+            f"3^{m * n * arity} exhaustive instances exceed the limit of 3^{MAX_EXHAUSTIVE_CELLS}"
         )
+
+
+def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
+    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once."""
+    _check_exhaustive(m, n, 1)
     space = standard_space(m, n)
     # all disjoint (pos, neg) column states over m objects: 3^m of them
-    columns = []
-    for states in itertools.product((0, 1, 2), repeat=m):
-        p = 0
-        q = 0
-        for i, s in enumerate(states):
-            if s == 0:
-                p |= 1 << i
-            elif s == 1:
-                q |= 1 << i
-        columns.append((p, q))
+    columns = [_column(states) for states in itertools.product((0, 1, 2), repeat=m)]
     for combo in itertools.product(columns, repeat=n):
-        yield BipolarSoftSet(
-            space, tuple(c[0] for c in combo), tuple(c[1] for c in combo)
-        )
+        pos, neg = zip(*combo)
+        yield BipolarSoftSet(space, pos, neg)
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
     """All ordered ``arity``-tuples of the exhaustively enumerated sets."""
-    pool = list(enumerate_bss(m, n))
-    if arity == 1:
-        return ((a,) for a in pool)
-    return itertools.product(pool, repeat=arity)
+    _check_exhaustive(m, n, arity)
+    return itertools.product(list(enumerate_bss(m, n)), repeat=arity)
 
 
 # -- the law catalogue --------------------------------------------------------
@@ -162,17 +152,6 @@ class LawReport:
         }
 
 
-_CATALOGUE: dict[str, Law] = {}
-
-
-def _register(law_id: str, arity: int, description: str, must_hold: bool = True):
-    def wrap(fn: Callable[..., Violation]) -> Callable[..., Violation]:
-        _CATALOGUE[law_id] = Law(law_id, arity, must_hold, description, fn)
-        return fn
-
-    return wrap
-
-
 def _refute(reason: str) -> dict:
     return {"parameter": None, "reason": reason}
 
@@ -196,221 +175,146 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     return None
 
 
-@_register("subset-reflexive", 1, "A is a subset of itself")
-def _subset_reflexive(a):
-    return None if a.is_subset_of(a) else _refute("A not a subset of itself")
+# Each side of a law calls the operations on its operands as it runs, never a
+# method bound at import, so a patched or traced ``BipolarSoftSet`` is seen.
+
+Sides = Callable[..., tuple[BipolarSoftSet, BipolarSoftSet]]
 
 
-@_register("subset-transitive", 3, "A subset of B and B subset of C implies A subset of C")
-def _subset_transitive(a, b, c):
+def _equation(law_id: str, arity: int, description: str, sides: Sides, must_hold: bool = True) -> Law:
+    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``."""
+    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)))
+
+
+def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
+    """Unary ``lower ≤ upper``, where ``sides(a)`` returns ``(lower, upper)``."""
+
+    def evaluate(a: BipolarSoftSet) -> Violation:
+        lower, upper = sides(a)
+        return None if lower.is_subset_of(upper) else _refute(reason)
+
+    return Law(law_id, 1, True, description, evaluate)
+
+
+def _null(a: BipolarSoftSet) -> BipolarSoftSet:
+    return BipolarSoftSet.null(a.space)
+
+
+def _absolute(a: BipolarSoftSet) -> BipolarSoftSet:
+    return BipolarSoftSet.absolute(a.space)
+
+
+def _subset_transitive(a, b, c) -> Violation:
     if a.is_subset_of(b) and b.is_subset_of(c) and not a.is_subset_of(c):
         return _refute("chain premises hold but the conclusion fails")
     return None
 
 
-@_register("subset-bounded-below", 1, "the null set is a subset of everything")
-def _subset_bounded_below(a):
-    null = BipolarSoftSet.null(a.space)
-    return None if null.is_subset_of(a) else _refute("null not below A")
-
-
-@_register("subset-bounded-above", 1, "everything is a subset of the absolute set")
-def _subset_bounded_above(a):
-    absolute = BipolarSoftSet.absolute(a.space)
-    return None if a.is_subset_of(absolute) else _refute("A not below absolute")
-
-
-@_register("union-idempotent", 1, "A ∪ A = A")
-def _union_idempotent(a):
-    return _differs(a.union(a), a)
-
-
-@_register("union-null-identity", 1, "A ∪ null = A")
-def _union_null_identity(a):
-    return _differs(a.union(BipolarSoftSet.null(a.space)), a)
-
-
-@_register("union-absolute-absorbing", 1, "A ∪ absolute = absolute")
-def _union_absolute_absorbing(a):
-    absolute = BipolarSoftSet.absolute(a.space)
-    return _differs(a.union(absolute), absolute)
-
-
-@_register("union-commutative", 2, "A ∪ B = B ∪ A")
-def _union_commutative(a, b):
-    return _differs(a.union(b), b.union(a))
-
-
-@_register("union-associative", 3, "A ∪ (B ∪ C) = (A ∪ B) ∪ C")
-def _union_associative(a, b, c):
-    return _differs(a.union(b.union(c)), a.union(b).union(c))
-
-
-@_register("union-absorption", 2, "A ∪ (A ∩ B) = A")
-def _union_absorption(a, b):
-    return _differs(a.union(a.intersection(b)), a)
-
-
-@_register("intersection-idempotent", 1, "A ∩ A = A")
-def _intersection_idempotent(a):
-    return _differs(a.intersection(a), a)
-
-
-@_register("intersection-null-absorbing", 1, "A ∩ null = null")
-def _intersection_null_absorbing(a):
-    null = BipolarSoftSet.null(a.space)
-    return _differs(a.intersection(null), null)
-
-
-@_register("intersection-absolute-identity", 1, "A ∩ absolute = A")
-def _intersection_absolute_identity(a):
-    return _differs(a.intersection(BipolarSoftSet.absolute(a.space)), a)
-
-
-@_register("intersection-commutative", 2, "A ∩ B = B ∩ A")
-def _intersection_commutative(a, b):
-    return _differs(a.intersection(b), b.intersection(a))
-
-
-@_register("intersection-associative", 3, "A ∩ (B ∩ C) = (A ∩ B) ∩ C")
-def _intersection_associative(a, b, c):
-    return _differs(a.intersection(b.intersection(c)), a.intersection(b).intersection(c))
-
-
-@_register("intersection-absorption", 2, "A ∩ (A ∪ B) = A")
-def _intersection_absorption(a, b):
-    return _differs(a.intersection(a.union(b)), a)
-
-
-@_register(
-    "distributive-intersection-over-union", 3, "A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)"
-)
-def _distributive_intersection_over_union(a, b, c):
-    return _differs(
-        a.intersection(b.union(c)),
-        a.intersection(b).union(a.intersection(c)),
-    )
-
-
-@_register(
-    "distributive-union-over-intersection", 3, "A ∪ (B ∩ C) = (A ∪ B) ∩ (A ∪ C)"
-)
-def _distributive_union_over_intersection(a, b, c):
-    return _differs(
-        a.union(b.intersection(c)),
-        a.union(b).intersection(a.union(c)),
-    )
-
-
-@_register("complement-involution", 1, "complement of the complement restores A")
-def _complement_involution(a):
-    return _differs(a.complement().complement(), a)
-
-
-@_register("complement-null", 1, "complement of null is absolute")
-def _complement_null(a):
-    return _differs(
-        BipolarSoftSet.null(a.space).complement(), BipolarSoftSet.absolute(a.space)
-    )
-
-
-@_register("complement-absolute", 1, "complement of absolute is null")
-def _complement_absolute(a):
-    return _differs(
-        BipolarSoftSet.absolute(a.space).complement(), BipolarSoftSet.null(a.space)
-    )
-
-
-@_register("demorgan-union", 2, "complement of A ∪ B equals Aᶜ ∩ Bᶜ")
-def _demorgan_union(a, b):
-    return _differs(a.union(b).complement(), a.complement().intersection(b.complement()))
-
-
-@_register("demorgan-intersection", 2, "complement of A ∩ B equals Aᶜ ∪ Bᶜ")
-def _demorgan_intersection(a, b):
-    return _differs(a.intersection(b).complement(), a.complement().union(b.complement()))
-
-
-@_register("demorgan-and-product", 2, "complement of A ∧ B equals Aᶜ ∨ Bᶜ")
-def _demorgan_and_product(a, b):
-    return _differs(and_product(a, b).complement(), or_product(a.complement(), b.complement()))
-
-
-@_register("demorgan-or-product", 2, "complement of A ∨ B equals Aᶜ ∧ Bᶜ")
-def _demorgan_or_product(a, b):
-    return _differs(or_product(a, b).complement(), and_product(a.complement(), b.complement()))
-
-
-@_register(
-    "excluded-middle-union",
-    1,
-    "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
-    "and is absolute precisely when A is complete",
-)
-def _excluded_middle_union(a):
-    joined = a.union(a.complement())
-    space = a.space
-    for e, p, q, ap, aq in zip(
-        space.positive_params, joined.pos_masks, joined.neg_masks,
-        a.pos_masks, a.neg_masks,
-    ):
-        if q:
-            return {"parameter": e, "reason": "A ∪ Aᶜ has a nonempty rejecting set"}
-        if p != ap | aq:
-            return {"parameter": e, "reason": "A ∪ Aᶜ approves more or less than A's decided cells"}
-    if (joined == BipolarSoftSet.absolute(space)) != a.is_complete():
-        return _refute("A ∪ Aᶜ = absolute does not coincide with A being complete")
+def _excluded_middle(a: BipolarSoftSet, join: bool) -> Violation:
+    """A ∪ Aᶜ (``join``) approves exactly A's decided cells, rejects nothing, and is
+    absolute iff A is complete; A ∩ Aᶜ is the mirror image with the sides swapped."""
+    if join:
+        term, verb, other, bound = "A ∪ Aᶜ", "approves", "rejecting", "absolute"
+        combined = a.union(a.complement())
+        kept, dropped = combined.pos_masks, combined.neg_masks
+    else:
+        term, verb, other, bound = "A ∩ Aᶜ", "rejects", "approving", "null"
+        combined = a.intersection(a.complement())
+        kept, dropped = combined.neg_masks, combined.pos_masks
+    for e, k, d, ap, aq in zip(a.space.positive_params, kept, dropped, a.pos_masks, a.neg_masks):
+        if d:
+            return {"parameter": e, "reason": f"{term} has a nonempty {other} set"}
+        if k != ap | aq:
+            return {"parameter": e, "reason": f"{term} {verb} more or less than A's decided cells"}
+    if (combined == (_absolute(a) if join else _null(a))) != a.is_complete():
+        return _refute(f"{term} = {bound} does not coincide with A being complete")
     return None
 
 
-@_register(
-    "excluded-middle-intersection",
-    1,
-    "A ∩ Aᶜ rejects exactly the non-neutral cells, approves nothing, "
-    "and is null precisely when A is complete",
+# The catalogue, in report order.  Ids, descriptions and the operand order of
+# every call are part of the report format: witnesses depend on them.
+_LAWS = (
+    _order("subset-reflexive", "A is a subset of itself",
+           lambda a: (a, a), "A not a subset of itself"),
+    Law("subset-transitive", 3, True,
+        "A subset of B and B subset of C implies A subset of C", _subset_transitive),
+    _order("subset-bounded-below", "the null set is a subset of everything",
+           lambda a: (_null(a), a), "null not below A"),
+    _order("subset-bounded-above", "everything is a subset of the absolute set",
+           lambda a: (a, _absolute(a)), "A not below absolute"),
+    _equation("union-idempotent", 1, "A ∪ A = A",
+              lambda a: (a.union(a), a)),
+    _equation("union-null-identity", 1, "A ∪ null = A",
+              lambda a: (a.union(_null(a)), a)),
+    _equation("union-absolute-absorbing", 1, "A ∪ absolute = absolute",
+              lambda a: (a.union(top := _absolute(a)), top)),
+    _equation("union-commutative", 2, "A ∪ B = B ∪ A",
+              lambda a, b: (a.union(b), b.union(a))),
+    _equation("union-associative", 3, "A ∪ (B ∪ C) = (A ∪ B) ∪ C",
+              lambda a, b, c: (a.union(b.union(c)), a.union(b).union(c))),
+    _equation("union-absorption", 2, "A ∪ (A ∩ B) = A",
+              lambda a, b: (a.union(a.intersection(b)), a)),
+    _equation("intersection-idempotent", 1, "A ∩ A = A",
+              lambda a: (a.intersection(a), a)),
+    _equation("intersection-null-absorbing", 1, "A ∩ null = null",
+              lambda a: (a.intersection(bottom := _null(a)), bottom)),
+    _equation("intersection-absolute-identity", 1, "A ∩ absolute = A",
+              lambda a: (a.intersection(_absolute(a)), a)),
+    _equation("intersection-commutative", 2, "A ∩ B = B ∩ A",
+              lambda a, b: (a.intersection(b), b.intersection(a))),
+    _equation("intersection-associative", 3, "A ∩ (B ∩ C) = (A ∩ B) ∩ C",
+              lambda a, b, c: (a.intersection(b.intersection(c)),
+                               a.intersection(b).intersection(c))),
+    _equation("intersection-absorption", 2, "A ∩ (A ∪ B) = A",
+              lambda a, b: (a.intersection(a.union(b)), a)),
+    _equation("distributive-intersection-over-union", 3, "A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)",
+              lambda a, b, c: (a.intersection(b.union(c)),
+                               a.intersection(b).union(a.intersection(c)))),
+    _equation("distributive-union-over-intersection", 3, "A ∪ (B ∩ C) = (A ∪ B) ∩ (A ∪ C)",
+              lambda a, b, c: (a.union(b.intersection(c)),
+                               a.union(b).intersection(a.union(c)))),
+    _equation("complement-involution", 1, "complement of the complement restores A",
+              lambda a: (a.complement().complement(), a)),
+    _equation("complement-null", 1, "complement of null is absolute",
+              lambda a: (_null(a).complement(), _absolute(a))),
+    _equation("complement-absolute", 1, "complement of absolute is null",
+              lambda a: (_absolute(a).complement(), _null(a))),
+    _equation("demorgan-union", 2, "complement of A ∪ B equals Aᶜ ∩ Bᶜ",
+              lambda a, b: (a.union(b).complement(),
+                            a.complement().intersection(b.complement()))),
+    _equation("demorgan-intersection", 2, "complement of A ∩ B equals Aᶜ ∪ Bᶜ",
+              lambda a, b: (a.intersection(b).complement(),
+                            a.complement().union(b.complement()))),
+    _equation("demorgan-and-product", 2, "complement of A ∧ B equals Aᶜ ∨ Bᶜ",
+              lambda a, b: (and_product(a, b).complement(),
+                            or_product(a.complement(), b.complement()))),
+    _equation("demorgan-or-product", 2, "complement of A ∨ B equals Aᶜ ∧ Bᶜ",
+              lambda a, b: (or_product(a, b).complement(),
+                            and_product(a.complement(), b.complement()))),
+    Law("excluded-middle-union", 1, True,
+        "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
+        "and is absolute precisely when A is complete",
+        lambda a: _excluded_middle(a, join=True)),
+    Law("excluded-middle-intersection", 1, True,
+        "A ∩ Aᶜ rejects exactly the non-neutral cells, approves nothing, "
+        "and is null precisely when A is complete",
+        lambda a: _excluded_middle(a, join=False)),
+    _equation("excluded-middle-unconditional", 1,
+              "A ∪ Aᶜ = absolute (fails whenever A has a neutral cell)",
+              lambda a: (a.union(a.complement()), _absolute(a)), must_hold=False),
+    _equation("excluded-middle-intersection-unconditional", 1,
+              "A ∩ Aᶜ = null (fails whenever A has a neutral cell)",
+              lambda a: (a.intersection(a.complement()), _null(a)), must_hold=False),
 )
-def _excluded_middle_intersection(a):
-    met = a.intersection(a.complement())
-    space = a.space
-    for e, p, q, ap, aq in zip(
-        space.positive_params, met.pos_masks, met.neg_masks,
-        a.pos_masks, a.neg_masks,
-    ):
-        if p:
-            return {"parameter": e, "reason": "A ∩ Aᶜ has a nonempty approving set"}
-        if q != ap | aq:
-            return {"parameter": e, "reason": "A ∩ Aᶜ rejects more or less than A's decided cells"}
-    if (met == BipolarSoftSet.null(space)) != a.is_complete():
-        return _refute("A ∩ Aᶜ = null does not coincide with A being complete")
-    return None
-
-
-@_register(
-    "excluded-middle-unconditional",
-    1,
-    "A ∪ Aᶜ = absolute (fails whenever A has a neutral cell)",
-    must_hold=False,
-)
-def _excluded_middle_unconditional(a):
-    return _differs(a.union(a.complement()), BipolarSoftSet.absolute(a.space))
-
-
-@_register(
-    "excluded-middle-intersection-unconditional",
-    1,
-    "A ∩ Aᶜ = null (fails whenever A has a neutral cell)",
-    must_hold=False,
-)
-def _excluded_middle_intersection_unconditional(a):
-    return _differs(a.intersection(a.complement()), BipolarSoftSet.null(a.space))
+_CATALOGUE = {law.law_id: law for law in _LAWS}
 
 
 # -- checking -----------------------------------------------------------------
 
 
 def catalogue() -> tuple[Law, ...]:
-    """All registered laws, in registration order."""
-    return tuple(_CATALOGUE.values())
+    """All catalogued laws, in report order."""
+    return _LAWS
 
 
 def get_law(law_id: str) -> Law:
@@ -461,11 +365,16 @@ def run_catalogue(
     seed: int = 1,
     random_bounds: tuple[int, int] = (6, 4),
 ) -> list[LawReport]:
-    """Check selected laws (default: all) over exhaustive plus random instances."""
+    """Check selected laws (default: all) over exhaustive plus random instances.
+
+    Raises :class:`BoundsTooLarge` before any check if an exhaustive pool is over budget."""
     if law_ids is None:
         selected = catalogue()
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
+    if exhaustive is not None:
+        for law in selected:
+            _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)
     reports = []
     for law in selected:
         sources = []

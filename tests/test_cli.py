@@ -277,6 +277,48 @@ def test_check_laws_bounds_too_large(capsys):
     assert "BoundsTooLarge" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--exhaustive", "0", "0"),
+    ("--bounds", "0", "4", "--random", "3"),
+    ("--random", "-5", "--law", "union-commutative"),
+    ("--random", "many"),
+])
+def test_check_laws_rejects_out_of_range_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-laws", *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_check_laws_budget_counts_operand_tuples(capsys):
+    # 3x4 sets are enumerable, but ternary laws would need (3^12)^3 tuples
+    code, out, err = run_cli(capsys, "check-laws", "--exhaustive", "3", "4")
+    assert code == 2
+    assert out == ""
+    assert "BoundsTooLarge" in err
+
+
+@pytest.mark.parametrize("content, error", [
+    (None, "error: [Errno"),
+    (b"\xff\xfe{}", "error: ParseError: byte 0: not UTF-8"),
+    (b"[" * 100_000, "error: ParseError: document: arrays or objects nested too deeply"),
+], ids=["directory", "not-utf8", "nested-100k"])
+def test_unreadable_input_exits_two(capsys, tmp_path, content, error):
+    path = tmp_path / "input.bss.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error)
+    assert "Traceback" not in err
+
+
 def test_check_laws_unknown_law(capsys):
     code, _, err = run_cli(capsys, "check-laws", "--law", "no-such-law")
     assert code == 2

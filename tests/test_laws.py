@@ -145,45 +145,97 @@ def test_report_json_shape():
     json.dumps(doc)  # serializable
 
 
+# The catalogue's contract: report order, ids, arities, verdict expectations
+# and descriptions are all part of the check-laws output.
+CATALOGUE = [
+    ("subset-reflexive", 1, True, "A is a subset of itself"),
+    ("subset-transitive", 3, True, "A subset of B and B subset of C implies A subset of C"),
+    ("subset-bounded-below", 1, True, "the null set is a subset of everything"),
+    ("subset-bounded-above", 1, True, "everything is a subset of the absolute set"),
+    ("union-idempotent", 1, True, "A ∪ A = A"),
+    ("union-null-identity", 1, True, "A ∪ null = A"),
+    ("union-absolute-absorbing", 1, True, "A ∪ absolute = absolute"),
+    ("union-commutative", 2, True, "A ∪ B = B ∪ A"),
+    ("union-associative", 3, True, "A ∪ (B ∪ C) = (A ∪ B) ∪ C"),
+    ("union-absorption", 2, True, "A ∪ (A ∩ B) = A"),
+    ("intersection-idempotent", 1, True, "A ∩ A = A"),
+    ("intersection-null-absorbing", 1, True, "A ∩ null = null"),
+    ("intersection-absolute-identity", 1, True, "A ∩ absolute = A"),
+    ("intersection-commutative", 2, True, "A ∩ B = B ∩ A"),
+    ("intersection-associative", 3, True, "A ∩ (B ∩ C) = (A ∩ B) ∩ C"),
+    ("intersection-absorption", 2, True, "A ∩ (A ∪ B) = A"),
+    ("distributive-intersection-over-union", 3, True, "A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)"),
+    ("distributive-union-over-intersection", 3, True, "A ∪ (B ∩ C) = (A ∪ B) ∩ (A ∪ C)"),
+    ("complement-involution", 1, True, "complement of the complement restores A"),
+    ("complement-null", 1, True, "complement of null is absolute"),
+    ("complement-absolute", 1, True, "complement of absolute is null"),
+    ("demorgan-union", 2, True, "complement of A ∪ B equals Aᶜ ∩ Bᶜ"),
+    ("demorgan-intersection", 2, True, "complement of A ∩ B equals Aᶜ ∪ Bᶜ"),
+    ("demorgan-and-product", 2, True, "complement of A ∧ B equals Aᶜ ∨ Bᶜ"),
+    ("demorgan-or-product", 2, True, "complement of A ∨ B equals Aᶜ ∧ Bᶜ"),
+    (
+        "excluded-middle-union", 1, True,
+        "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
+        "and is absolute precisely when A is complete",
+    ),
+    (
+        "excluded-middle-intersection", 1, True,
+        "A ∩ Aᶜ rejects exactly the non-neutral cells, approves nothing, "
+        "and is null precisely when A is complete",
+    ),
+    (
+        "excluded-middle-unconditional", 1, False,
+        "A ∪ Aᶜ = absolute (fails whenever A has a neutral cell)",
+    ),
+    (
+        "excluded-middle-intersection-unconditional", 1, False,
+        "A ∩ Aᶜ = null (fails whenever A has a neutral cell)",
+    ),
+]
+
+
 def test_catalogue_contents():
-    ids = [law.law_id for law in catalogue()]
-    assert len(ids) == len(set(ids))
-    expected_presence = {
-        "subset-reflexive",
-        "subset-transitive",
-        "subset-bounded-below",
-        "subset-bounded-above",
-        "union-idempotent",
-        "union-null-identity",
-        "union-absolute-absorbing",
-        "union-commutative",
-        "union-associative",
-        "union-absorption",
-        "intersection-idempotent",
-        "intersection-null-absorbing",
-        "intersection-absolute-identity",
-        "intersection-commutative",
-        "intersection-associative",
-        "intersection-absorption",
-        "distributive-intersection-over-union",
-        "distributive-union-over-intersection",
-        "complement-involution",
-        "complement-null",
-        "complement-absolute",
-        "demorgan-union",
-        "demorgan-intersection",
-        "demorgan-and-product",
-        "demorgan-or-product",
-        "excluded-middle-union",
-        "excluded-middle-intersection",
+    assert [
+        (law.law_id, law.arity, law.must_hold, law.description) for law in catalogue()
+    ] == CATALOGUE
+
+
+# the third set of the 2x2 enumeration: e1 approved by both objects, e2 by u1 only
+NEUTRAL_CELL_OPERAND = {
+    "universe": ["u1", "u2"],
+    "pairs": [{"pos": "e1", "neg": "not-e1"}, {"pos": "e2", "neg": "not-e2"}],
+    "assignments": [
+        {"param": "e1", "positive": ["u1", "u2"], "negative": []},
+        {"param": "e2", "positive": ["u1"], "negative": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("law_id, left, right", [
+    (
         "excluded-middle-unconditional",
+        {"positive": ["u1"], "negative": []},
+        {"positive": ["u1", "u2"], "negative": []},
+    ),
+    (
         "excluded-middle-intersection-unconditional",
-    }
-    assert expected_presence <= set(ids)
-    must_fail = {law.law_id for law in catalogue() if not law.must_hold}
-    assert must_fail == {
-        "excluded-middle-unconditional",
-        "excluded-middle-intersection-unconditional",
+        {"positive": [], "negative": ["u1"]},
+        {"positive": [], "negative": ["u1", "u2"]},
+    ),
+])
+def test_unconditional_excluded_middle_witness_is_pinned(law_id, left, right):
+    assert check_law(law_id, enumerate_bss(2, 2)).to_json() == {
+        "law": law_id,
+        "must_hold": False,
+        "instances_checked": 3,
+        "holds": False,
+        "counterexample": {
+            "operands": [NEUTRAL_CELL_OPERAND],
+            "parameter": "e2",
+            "reason": "sides disagree",
+            "left": left,
+            "right": right,
+        },
     }
 
 
