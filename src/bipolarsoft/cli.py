@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +27,14 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(output: str) -> None:
+    """Raise the ``OSError`` that writing ``output`` would, before any work; change nothing."""
+    existed = os.path.lexists(output)
+    open(output, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(output)
 
 
 def _json_text(doc) -> str:
@@ -177,6 +186,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_writable(args.output)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -122,12 +122,14 @@ def from_document(doc) -> BipolarSoftSet:
     return BipolarSoftSet.from_assignment(space, assignment)
 
 
-def parse(text: str) -> BipolarSoftSet:
+def parse(text: str | bytes) -> BipolarSoftSet:
     """Decode document text produced by :func:`serialize` (or any valid variant)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer literal over Python's digit limit
+        raise ParseError(str(exc), "document") from exc
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply", "document") from None
     return from_document(doc)

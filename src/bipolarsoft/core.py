@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .errors import DisjointnessViolation, SpaceMismatch, UnknownParameter
+from .errors import DisjointnessViolation, InvalidArgument, SpaceMismatch, UnknownParameter
 from .space import ParameterSpace
 
 Assignment = Mapping[str, tuple[Iterable[str], Iterable[str]]]
@@ -44,11 +44,11 @@ class BipolarSoftSet:
                 object.__setattr__(self, name, tuple(value))
         space = self.space
         if len(self.pos_masks) != space.n or len(self.neg_masks) != space.n:
-            raise ValueError("expected one (pos, neg) mask pair per positive parameter")
+            raise InvalidArgument("expected one (pos, neg) mask pair per positive parameter")
         full = space.full_mask
         for e, p, q in zip(space.positive_params, self.pos_masks, self.neg_masks):
             if (p | q) & ~full or p < 0 or q < 0:
-                raise ValueError(f"parameter {e!r}: mask selects bits outside the universe")
+                raise InvalidArgument(f"parameter {e!r}: mask selects bits outside the universe")
             if p & q:
                 raise DisjointnessViolation(e, space.members(p & q))
 
@@ -75,14 +75,22 @@ class BipolarSoftSet:
         return cls(space, tuple(pos), tuple(neg))
 
     @classmethod
+    def _closed(cls, space: ParameterSpace, pos: tuple, neg: tuple) -> "BipolarSoftSet":
+        """Store mask tuples without ``__post_init__``: callers pass results of closed
+        operations on valid operands, or masks disjoint and in range by construction."""
+        self = object.__new__(cls)
+        self.__dict__.update(space=space, pos_masks=pos, neg_masks=neg)  # frozen: skip __setattr__
+        return self
+
+    @classmethod
     def null(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Bottom of the order: every object rejected at every parameter."""
-        return cls(space, (0,) * space.n, (space.full_mask,) * space.n)
+        return cls._closed(space, (0,) * space.n, (space.full_mask,) * space.n)
 
     @classmethod
     def absolute(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Top of the order: every object approved at every parameter."""
-        return cls(space, (space.full_mask,) * space.n, (0,) * space.n)
+        return cls._closed(space, (space.full_mask,) * space.n, (0,) * space.n)
 
     # -- per-parameter access ----------------------------------------------
 
@@ -121,7 +129,7 @@ class BipolarSoftSet:
     def union(self, other: "BipolarSoftSet") -> "BipolarSoftSet":
         """Join: approving sets unite, rejecting sets intersect."""
         ensure_same_space(self, other)
-        return BipolarSoftSet(
+        return BipolarSoftSet._closed(
             self.space,
             tuple(map(or_, self.pos_masks, other.pos_masks)),
             tuple(map(and_, self.neg_masks, other.neg_masks)),
@@ -130,7 +138,7 @@ class BipolarSoftSet:
     def intersection(self, other: "BipolarSoftSet") -> "BipolarSoftSet":
         """Meet: approving sets intersect, rejecting sets unite."""
         ensure_same_space(self, other)
-        return BipolarSoftSet(
+        return BipolarSoftSet._closed(
             self.space,
             tuple(map(and_, self.pos_masks, other.pos_masks)),
             tuple(map(or_, self.neg_masks, other.neg_masks)),
@@ -138,7 +146,7 @@ class BipolarSoftSet:
 
     def complement(self) -> "BipolarSoftSet":
         """Swap approving and rejecting sets at every parameter."""
-        return BipolarSoftSet(self.space, self.neg_masks, self.pos_masks)
+        return BipolarSoftSet._closed(self.space, self.neg_masks, self.pos_masks)
 
     def is_complete(self) -> bool:
         """True iff no cell is neutral: every object takes a side at every parameter."""

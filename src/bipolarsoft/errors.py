@@ -5,6 +5,10 @@ class BipolarSoftError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(BipolarSoftError, ValueError):
+    """A call got a value outside its domain: a bad mask shape or range, size or arity."""
+
+
 class InvalidSpace(BipolarSoftError):
     """A parameter space violates its structural invariants."""
 

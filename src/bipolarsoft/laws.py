@@ -21,11 +21,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import codec
 from .core import BipolarSoftSet
-from .errors import BoundsTooLarge, UnknownLaw
+from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
 
-MAX_EXHAUSTIVE_CELLS = 12  # 3^12 exhaustive instances per law; anything larger is declined
+MAX_EXHAUSTIVE_CELLS = 12  # 3^12 instances per law from each source; anything larger is declined
 
 
 # -- deterministic instance generation ---------------------------------------
@@ -69,7 +69,7 @@ def _draw(space: ParameterSpace, stream: Iterator[int]) -> BipolarSoftSet:
     # one stream value per cell, reduced to approve/reject/abstain
     columns = (_column(next(stream) % 3 for _ in range(space.m)) for _ in range(space.n))
     pos, neg = zip(*columns)
-    return BipolarSoftSet(space, pos, neg)
+    return BipolarSoftSet._closed(space, pos, neg)
 
 
 def gen_bss(seed: int, max_m: int = 6, max_n: int = 4) -> BipolarSoftSet:
@@ -82,7 +82,7 @@ def random_tuples(
 ) -> Iterator[tuple[BipolarSoftSet, ...]]:
     """``count`` operand tuples; each tuple shares one randomly sized space."""
     if max_m < 1 or max_n < 1:
-        raise ValueError("size bounds must be positive")
+        raise InvalidArgument("size bounds must be positive")
     stream = _splitmix64(seed)
     for _ in range(count):
         m = 1 + next(stream) % max_m
@@ -94,7 +94,7 @@ def random_tuples(
 def _check_exhaustive(m: int, n: int, arity: int) -> None:
     """Decline an exhaustive pool whose ``arity``-tuples span more than 3^12 cases."""
     if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
+        raise InvalidArgument("dimensions must be positive")
     if m * n * arity > MAX_EXHAUSTIVE_CELLS:
         raise BoundsTooLarge(
             f"3^{m * n * arity} exhaustive instances exceed the limit of 3^{MAX_EXHAUSTIVE_CELLS}"
@@ -109,7 +109,7 @@ def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
     columns = [_column(states) for states in itertools.product((0, 1, 2), repeat=m)]
     for combo in itertools.product(columns, repeat=n):
         pos, neg = zip(*combo)
-        yield BipolarSoftSet(space, pos, neg)
+        yield BipolarSoftSet._closed(space, pos, neg)
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -335,9 +335,7 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
     for item in instances:
         operands = item if isinstance(item, tuple) else (item,)
         if len(operands) != law.arity:
-            raise ValueError(
-                f"law {law_id!r} takes {law.arity} operand(s), got {len(operands)}"
-            )
+            raise InvalidArgument(f"law {law_id!r} takes {law.arity} operand(s), got {len(operands)}")
         checked += 1
         violation = law.evaluate(*operands)
         if violation is not None:
@@ -367,7 +365,7 @@ def run_catalogue(
 ) -> list[LawReport]:
     """Check selected laws (default: all) over exhaustive plus random instances.
 
-    Raises :class:`BoundsTooLarge` before any check if an exhaustive pool is over budget."""
+    Raises :class:`BoundsTooLarge` before any check if either source is over budget."""
     if law_ids is None:
         selected = catalogue()
     else:
@@ -375,6 +373,8 @@ def run_catalogue(
     if exhaustive is not None:
         for law in selected:
             _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)
+    if random_count > 3 ** MAX_EXHAUSTIVE_CELLS:
+        raise BoundsTooLarge(f"{random_count} random instances per law exceed 3^{MAX_EXHAUSTIVE_CELLS}")
     reports = []
     for law in selected:
         sources = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import and_, or_
+
 from .core import BipolarSoftSet, ensure_same_space
 from .space import ParameterSpace
 
@@ -22,25 +24,19 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
     return ParameterSpace(base.universe, tuple(pos), tuple(neg))
 
 
+def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:
+    """Every ordered parameter pair: ``approve`` merges approving masks, ``reject`` rejecting ones."""
+    ensure_same_space(a, b)
+    pos = tuple(approve(pa, pb) for pa in a.pos_masks for pb in b.pos_masks)
+    neg = tuple(reject(na, nb) for na in a.neg_masks for nb in b.neg_masks)
+    return BipolarSoftSet._closed(product_space(a.space), pos, neg)
+
+
 def and_product(a: BipolarSoftSet, b: BipolarSoftSet) -> BipolarSoftSet:
     """Approve where both operands approve; reject where either rejects."""
-    ensure_same_space(a, b)
-    pos = []
-    neg = []
-    for pa, na in zip(a.pos_masks, a.neg_masks):
-        for pb, nb in zip(b.pos_masks, b.neg_masks):
-            pos.append(pa & pb)
-            neg.append(na | nb)
-    return BipolarSoftSet(product_space(a.space), tuple(pos), tuple(neg))
+    return _product(a, b, and_, or_)
 
 
 def or_product(a: BipolarSoftSet, b: BipolarSoftSet) -> BipolarSoftSet:
     """Approve where either operand approves; reject where both reject."""
-    ensure_same_space(a, b)
-    pos = []
-    neg = []
-    for pa, na in zip(a.pos_masks, a.neg_masks):
-        for pb, nb in zip(b.pos_masks, b.neg_masks):
-            pos.append(pa | pb)
-            neg.append(na & nb)
-    return BipolarSoftSet(product_space(a.space), tuple(pos), tuple(neg))
+    return _product(a, b, or_, and_)

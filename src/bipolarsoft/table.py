@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import BipolarSoftSet
-from .errors import DimensionMismatch, LabelMismatch
+from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
 
@@ -32,7 +32,7 @@ class CellValue(Enum):
         try:
             return cls((a, b))
         except ValueError:
-            raise ValueError(f"no cell value for pair ({a!r}, {b!r})") from None
+            raise InvalidArgument(f"no cell value for pair ({a!r}, {b!r})") from None
 
 
 @dataclass(frozen=True)

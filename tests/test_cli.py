@@ -340,3 +340,44 @@ def test_module_entry_point(fixtures_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid: m=8 n=5 complete=false"
+
+
+def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch):
+    from bipolarsoft import laws
+
+    def reached(*args, **kwargs):
+        raise AssertionError("run_catalogue ran although -o cannot be written")
+
+    monkeypatch.setattr(laws, "run_catalogue", reached)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "check-laws", "--law", "union-associative",
+                             "--exhaustive", "2", "2", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno")
+    assert not target.parent.exists()
+
+
+def test_failing_command_leaves_output_untouched(capsys, tmp_path):
+    bad = tmp_path / "broken.bss.json"
+    bad.write_text("{not json")
+    existing = tmp_path / "existing.txt"
+    existing.write_bytes(b"earlier result\n")
+    fresh = tmp_path / "fresh.txt"
+    assert run_cli(capsys, "decide", str(bad), "-o", str(existing))[0] == 2
+    assert run_cli(capsys, "table", str(bad), "-o", str(fresh))[0] == 2
+    assert existing.read_bytes() == b"earlier result\n"
+    assert not fresh.exists()
+
+
+def test_check_laws_random_count_over_budget(capsys, monkeypatch):
+    from bipolarsoft import laws
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a law was checked although the random count is over budget")
+
+    monkeypatch.setattr(laws, "check_law", reached)
+    code, out, err = run_cli(capsys, "check-laws", "--random", "531442")
+    assert code == 2
+    assert out == ""
+    assert "BoundsTooLarge" in err

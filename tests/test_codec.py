@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bipolarsoft import BipolarSoftSet, from_document, load, parse, serialize, to_document
 from bipolarsoft.codec import dump
 from bipolarsoft.errors import (
+    BipolarSoftError,
     DisjointnessViolation,
     ParseError,
     UnknownObject,
@@ -179,3 +182,55 @@ def test_parse_keeps_domain_errors():
     }
     with pytest.raises(UnknownParameter):
         from_document(unknown_param)
+
+
+# -- the trust boundary: any JSON value or byte string in, only package errors out
+
+_OBJECTS = st.sampled_from(["u1", "u2", "u3"])
+_PARAMS = st.sampled_from(["e1", "not-e1", "e2", "not-e2"])
+_KEYS = st.sampled_from(["universe", "pairs", "assignments", "pos", "neg",
+                         "param", "positive", "negative"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _OBJECTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mostly(draw, strategy):
+    """Usually ``strategy``; one time in eight an arbitrary JSON value or a bad id."""
+    if draw(st.integers(0, 7)) == 3:
+        return draw(_JSON | _PARAMS | st.just(""))
+    return draw(strategy)
+
+
+_MEMBERS = _mostly(st.lists(_OBJECTS, max_size=3, unique=True))
+_PAIR = st.fixed_dictionaries({"pos": _PARAMS, "neg": _PARAMS})
+_ROW = st.fixed_dictionaries({"param": _PARAMS, "positive": _MEMBERS, "negative": _MEMBERS})
+_DOCUMENTS = _JSON | st.fixed_dictionaries({
+    "universe": _mostly(st.lists(_OBJECTS, min_size=1, max_size=3, unique=True)),
+    "pairs": _mostly(st.lists(_mostly(_PAIR), min_size=1, max_size=2)),
+    "assignments": _mostly(st.lists(_mostly(_ROW), max_size=3)),
+})
+
+
+@given(_DOCUMENTS)
+def test_from_document_raises_only_package_errors(doc):
+    try:
+        value = from_document(doc)
+    except BipolarSoftError:
+        return
+    assert from_document(to_document(value)) == value
+
+
+_TEXTS = _DOCUMENTS.map(json.dumps)
+
+
+@given(st.text() | st.binary() | _TEXTS | _TEXTS.map(str.encode))
+def test_parse_raises_only_package_errors(text):
+    try:
+        value = parse(text)
+    except BipolarSoftError:
+        return
+    assert parse(serialize(value)) == value

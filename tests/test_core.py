@@ -1,8 +1,17 @@
 import pytest
 
-from bipolarsoft import BipolarSoftSet
+from bipolarsoft import (
+    BipolarSoftSet,
+    CellValue,
+    check_law,
+    enumerate_bss,
+    exhaustive_tuples,
+    random_tuples,
+)
 from bipolarsoft.errors import (
+    BipolarSoftError,
     DisjointnessViolation,
+    InvalidArgument,
     SpaceMismatch,
     UnknownObject,
     UnknownParameter,
@@ -172,3 +181,56 @@ def test_repr_suppresses_neutral_pairs():
     text = repr(a)
     assert "e3" in text and "e1" not in text
     assert repr(BipolarSoftSet.from_assignment(space, {})) == "<BipolarSoftSet all neutral>"
+
+
+def test_closed_results_are_indistinguishable_from_validated_ones():
+    import dataclasses
+    import pickle
+
+    a, b = corpus.houses_a(), corpus.houses_b()
+    for result in (a | b, a & b, ~a, BipolarSoftSet.null(a.space), BipolarSoftSet.absolute(a.space)):
+        checked = BipolarSoftSet(result.space, result.pos_masks, result.neg_masks)
+        assert result == checked and hash(result) == hash(checked)
+        assert repr(result) == repr(checked)
+        assert pickle.dumps(result) == pickle.dumps(checked)
+        assert pickle.loads(pickle.dumps(result)) == checked
+        assert dataclasses.replace(result) == checked
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.pos_masks = ()
+
+
+def test_only_public_constructions_validate(monkeypatch):
+    from bipolarsoft import and_product, or_product
+
+    validated = []
+    check = BipolarSoftSet.__post_init__
+
+    def counted(self):
+        validated.append(self)
+        check(self)
+
+    monkeypatch.setattr(BipolarSoftSet, "__post_init__", counted)
+    a, b = corpus.houses_a(), corpus.houses_b()
+    assert len(validated) == 2  # from_assignment validates untrusted input
+    validated.clear()
+    a | b, a & b, ~a, and_product(a, b), or_product(a, b)
+    BipolarSoftSet.null(a.space), BipolarSoftSet.absolute(a.space)
+    list(enumerate_bss(1, 2)), list(random_tuples(1, 5, 2))
+    assert validated == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BipolarSoftSet(corpus.space4(), (0, 0), (0, 0)),
+    lambda: BipolarSoftSet(corpus.space4(), (1 << 20, 0, 0, 0), (0, 0, 0, 0)),
+    lambda: BipolarSoftSet(corpus.space4(), (-1, 0, 0, 0), (0, 0, 0, 0)),
+    lambda: list(enumerate_bss(0, 1)),
+    lambda: exhaustive_tuples(1, 0, 2),
+    lambda: list(random_tuples(1, 1, 1, max_m=0)),
+    lambda: check_law("union-commutative", [corpus.houses_a()]),
+    lambda: CellValue.from_pair(1, 1),
+], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell"])
+def test_bad_arguments_raise_package_errors(call):
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert isinstance(err.value, BipolarSoftError)
+    assert isinstance(err.value, ValueError)
