@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import codec, decision, laws
-from .errors import BipolarSoftError, BoundsTooLarge, ParseError, UnknownLaw
+from .errors import BipolarSoftError, BoundsTooLarge, InvalidArgument, ParseError, UnknownLaw
 from .products import and_product, or_product
 from .table import render_table_csv, render_table_text, table_document, to_table
 
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, BoundsTooLarge, UnknownLaw) as exc:
+    except (ParseError, BoundsTooLarge, InvalidArgument, UnknownLaw) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except BipolarSoftError as exc:

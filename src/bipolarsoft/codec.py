@@ -29,12 +29,10 @@ def to_document(bss: BipolarSoftSet) -> dict:
     """Canonical dict form of a bipolar soft set."""
     space = bss.space
     assignments = []
-    for e in space.positive_params:
-        pos = bss.pos(e)
-        neg = bss.neg(e)
-        if pos or neg:
+    for e, p, q in zip(space.positive_params, bss.pos_masks, bss.neg_masks):
+        if p or q:
             assignments.append(
-                {"param": e, "positive": list(pos), "negative": list(neg)}
+                {"param": e, "positive": list(space.members(p)), "negative": list(space.members(q))}
             )
     return {
         "universe": list(space.universe),
@@ -125,10 +123,14 @@ def from_document(doc) -> BipolarSoftSet:
 def parse(text: str | bytes) -> BipolarSoftSet:
     """Decode document text produced by :func:`serialize` (or any valid variant)."""
     try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")  # as load reads files; json.loads would sniff UTF-16/32
         doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
-    except ValueError as exc:  # undecodable bytes, or an integer literal over Python's digit limit
+    except ValueError as exc:  # an integer literal over Python's digit limit
         raise ParseError(str(exc), "document") from exc
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply", "document") from None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import DisjointnessViolation, InvalidArgument, SpaceMismatch, UnknownParameter
@@ -18,39 +17,58 @@ def ensure_same_space(a: "BipolarSoftSet", b: "BipolarSoftSet") -> None:
         raise SpaceMismatch("operands are defined over different parameter spaces")
 
 
+def _pack(masks: tuple[int, ...], m: int) -> int:
+    """Masks as one int, mask ``k`` at bit ``k*m``; in halves, as one at a time is quadratic."""
+    if len(masks) == 1:
+        return masks[0]
+    half = len(masks) // 2
+    return _pack(masks[:half], m) | _pack(masks[half:], m) << half * m
+
+
+def _unpack(bits: int, m: int, n: int) -> tuple[int, ...]:
+    """Inverse of :func:`_pack`; stray high or sign bits stay in the last mask."""
+    if n == 1:
+        return (bits,)
+    half = n // 2
+    return _unpack(bits & (1 << half * m) - 1, m, half) + _unpack(bits >> half * m, m, n - half)
+
+
 @dataclass(frozen=True)
 class BipolarSoftSet:
     """Pairs every positive parameter with disjoint approving and rejecting object sets.
 
-    Membership is stored as bit masks over the universe (bit ``i`` is
-    ``space.universe[i]``), one ``(pos, neg)`` mask pair per positive
-    parameter in declaration order.  ``pos & neg == 0`` holds at every
-    parameter; objects in neither mask are neutral for it.  Parameters
-    whose pair is ``(0, 0)`` are kept internally and suppressed only by
-    display and serialization layers.
+    Membership is two disjoint ints over the m·n cells: bit ``k*m + i`` of ``pos_bits``
+    (``neg_bits``) is set iff ``space.universe[i]`` approves (rejects) positive parameter
+    ``k``.  The constructor also takes per-parameter masks (bit ``i`` per object), as
+    ``pos_masks``/``neg_masks`` return them.  Parameters with no decided cell are
+    kept internally and suppressed only by display and serialization layers.
 
     Instances are immutable and hashable; every operation returns a new
     value, so sharing across threads needs no synchronization.
     """
 
+    __slots__ = ("space", "pos_bits", "neg_bits")
     space: ParameterSpace
-    pos_masks: tuple[int, ...]
-    neg_masks: tuple[int, ...]
+    pos_bits: int
+    neg_bits: int
 
     def __post_init__(self) -> None:
-        for name in ("pos_masks", "neg_masks"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-        space = self.space
-        if len(self.pos_masks) != space.n or len(self.neg_masks) != space.n:
+        space, pos, neg = self.space, self.pos_bits, self.neg_bits
+        if isinstance(pos, int) and isinstance(neg, int):  # packed: check the masks it holds
+            pos, neg = _unpack(pos, space.m, space.n), _unpack(neg, space.m, space.n)
+        pos, neg = tuple(pos), tuple(neg)
+        if len(pos) != space.n or len(neg) != space.n:
             raise InvalidArgument("expected one (pos, neg) mask pair per positive parameter")
-        full = space.full_mask
-        for e, p, q in zip(space.positive_params, self.pos_masks, self.neg_masks):
-            if (p | q) & ~full or p < 0 or q < 0:
+        for e, p, q in zip(space.positive_params, pos, neg):
+            if (p | q) & ~space.full_mask or p < 0 or q < 0:
                 raise InvalidArgument(f"parameter {e!r}: mask selects bits outside the universe")
             if p & q:
                 raise DisjointnessViolation(e, space.members(p & q))
+        _set_pos(self, _pack(pos, space.m))
+        _set_neg(self, _pack(neg, space.m))
+
+    def __reduce__(self):  # pickle would restore the slots through the frozen __setattr__
+        return BipolarSoftSet, (self.space, self.pos_bits, self.neg_bits)
 
     # -- construction ------------------------------------------------------
 
@@ -75,38 +93,42 @@ class BipolarSoftSet:
         return cls(space, tuple(pos), tuple(neg))
 
     @classmethod
-    def _closed(cls, space: ParameterSpace, pos: tuple, neg: tuple) -> "BipolarSoftSet":
-        """Store mask tuples without ``__post_init__``: callers pass results of closed
-        operations on valid operands, or masks disjoint and in range by construction."""
+    def _closed(cls, space: ParameterSpace, pos: int, neg: int) -> "BipolarSoftSet":
+        """No ``__post_init__``: closed operations on valid operands and generators call this."""
         self = object.__new__(cls)
-        self.__dict__.update(space=space, pos_masks=pos, neg_masks=neg)  # frozen: skip __setattr__
+        _set_space(self, space)  # slot descriptors: the frozen __setattr__ would refuse
+        _set_pos(self, pos)
+        _set_neg(self, neg)
         return self
 
     @classmethod
     def null(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Bottom of the order: every object rejected at every parameter."""
-        return cls._closed(space, (0,) * space.n, (space.full_mask,) * space.n)
+        return cls._closed(space, 0, space.cells_mask)
 
     @classmethod
     def absolute(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Top of the order: every object approved at every parameter."""
-        return cls._closed(space, (space.full_mask,) * space.n, (0,) * space.n)
+        return cls._closed(space, space.cells_mask, 0)
 
     # -- per-parameter access ----------------------------------------------
 
-    def _index(self, param: str) -> int:
+    pos_masks = property(lambda self: _unpack(self.pos_bits, self.space.m, self.space.n))
+    neg_masks = property(lambda self: _unpack(self.neg_bits, self.space.m, self.space.n))
+
+    def _offset(self, param: str) -> int:
         try:
-            return self.space.param_index[param]
+            return self.space.param_index[param] * self.space.m
         except KeyError:
             raise UnknownParameter(param) from None
 
     def pos(self, param: str) -> tuple[str, ...]:
         """Objects approving ``param``, in universe order."""
-        return self.space.members(self.pos_masks[self._index(param)])
+        return self.space.members(self.pos_bits >> self._offset(param) & self.space.full_mask)
 
     def neg(self, param: str) -> tuple[str, ...]:
         """Objects rejecting ``param`` (i.e. satisfying its negation), in universe order."""
-        return self.space.members(self.neg_masks[self._index(param)])
+        return self.space.members(self.neg_bits >> self._offset(param) & self.space.full_mask)
 
     # -- order --------------------------------------------------------------
 
@@ -114,15 +136,12 @@ class BipolarSoftSet:
         """True iff every approving set is contained in the other's and every
         rejecting set contains the other's."""
         ensure_same_space(self, other)
-        for p, q, op, oq in zip(self.pos_masks, self.neg_masks, other.pos_masks, other.neg_masks):
-            if p & ~op or oq & ~q:
-                return False
-        return True
+        return not (self.pos_bits & ~other.pos_bits or other.neg_bits & ~self.neg_bits)
 
     def equals(self, other: "BipolarSoftSet") -> bool:
         """Pointwise equality; unlike ``==`` this rejects mismatched spaces."""
         ensure_same_space(self, other)
-        return self.pos_masks == other.pos_masks and self.neg_masks == other.neg_masks
+        return self.pos_bits == other.pos_bits and self.neg_bits == other.neg_bits
 
     # -- lattice operations --------------------------------------------------
 
@@ -130,28 +149,23 @@ class BipolarSoftSet:
         """Join: approving sets unite, rejecting sets intersect."""
         ensure_same_space(self, other)
         return BipolarSoftSet._closed(
-            self.space,
-            tuple(map(or_, self.pos_masks, other.pos_masks)),
-            tuple(map(and_, self.neg_masks, other.neg_masks)),
+            self.space, self.pos_bits | other.pos_bits, self.neg_bits & other.neg_bits
         )
 
     def intersection(self, other: "BipolarSoftSet") -> "BipolarSoftSet":
         """Meet: approving sets intersect, rejecting sets unite."""
         ensure_same_space(self, other)
         return BipolarSoftSet._closed(
-            self.space,
-            tuple(map(and_, self.pos_masks, other.pos_masks)),
-            tuple(map(or_, self.neg_masks, other.neg_masks)),
+            self.space, self.pos_bits & other.pos_bits, self.neg_bits | other.neg_bits
         )
 
     def complement(self) -> "BipolarSoftSet":
         """Swap approving and rejecting sets at every parameter."""
-        return BipolarSoftSet._closed(self.space, self.neg_masks, self.pos_masks)
+        return BipolarSoftSet._closed(self.space, self.neg_bits, self.pos_bits)
 
     def is_complete(self) -> bool:
         """True iff no cell is neutral: every object takes a side at every parameter."""
-        full = self.space.full_mask
-        return all(p | q == full for p, q in zip(self.pos_masks, self.neg_masks))
+        return self.pos_bits | self.neg_bits == self.space.cells_mask
 
     __or__ = union
     __and__ = intersection
@@ -168,3 +182,7 @@ class BipolarSoftSet:
                 parts.append(f"{e}: +{{{pos}}} -{{{neg}}}")
         body = "; ".join(parts) if parts else "all neutral"
         return f"<BipolarSoftSet {body}>"
+
+
+_set_space, _set_pos, _set_neg = (BipolarSoftSet.__dict__[name].__set__
+                                  for name in BipolarSoftSet.__slots__)

@@ -28,11 +28,11 @@ class DecisionResult:
 
 def scores(bss: BipolarSoftSet) -> tuple[ScoreRow, ...]:
     """One row per object in universe order; score = approvals - rejections."""
+    column = bss.space.cells_mask // bss.space.full_mask  # object 0 at every parameter
     rows = []
     for i, u in enumerate(bss.space.universe):
-        bit = 1 << i
-        c_plus = sum(1 for p in bss.pos_masks if p & bit)
-        c_minus = sum(1 for q in bss.neg_masks if q & bit)
+        c_plus = (bss.pos_bits & column << i).bit_count()
+        c_minus = (bss.neg_bits & column << i).bit_count()
         rows.append(ScoreRow(u, c_plus, c_minus, c_plus - c_minus))
     return tuple(rows)
 

@@ -54,22 +54,21 @@ def standard_space(m: int, n: int) -> ParameterSpace:
     )
 
 
-def _column(states: Iterable[int]) -> tuple[int, int]:
-    """One parameter's ``(pos, neg)`` masks from per-object states: 0 approve, 1 reject, 2 neutral."""
+def _cells(states: Iterable[int]) -> tuple[int, int]:
+    """Packed ``(pos, neg)`` ints from cell states in bit order: 0 approve, 1 reject, 2 neutral."""
     p = q = 0
-    for i, s in enumerate(states):
+    for j, s in enumerate(states):
         if s == 0:
-            p |= 1 << i
+            p |= 1 << j
         elif s == 1:
-            q |= 1 << i
+            q |= 1 << j
     return p, q
 
 
 def _draw(space: ParameterSpace, stream: Iterator[int]) -> BipolarSoftSet:
     # one stream value per cell, reduced to approve/reject/abstain
-    columns = (_column(next(stream) % 3 for _ in range(space.m)) for _ in range(space.n))
-    pos, neg = zip(*columns)
-    return BipolarSoftSet._closed(space, pos, neg)
+    states = (next(stream) % 3 for _ in range(space.m * space.n))
+    return BipolarSoftSet._closed(space, *_cells(states))
 
 
 def gen_bss(seed: int, max_m: int = 6, max_n: int = 4) -> BipolarSoftSet:
@@ -105,11 +104,9 @@ def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
     """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once."""
     _check_exhaustive(m, n, 1)
     space = standard_space(m, n)
-    # all disjoint (pos, neg) column states over m objects: 3^m of them
-    columns = [_column(states) for states in itertools.product((0, 1, 2), repeat=m)]
-    for combo in itertools.product(columns, repeat=n):
-        pos, neg = zip(*combo)
-        yield BipolarSoftSet._closed(space, pos, neg)
+    # bit order is parameter-major, so the last object of the last parameter varies fastest
+    for states in itertools.product((0, 1, 2), repeat=m * n):
+        yield BipolarSoftSet._closed(space, *_cells(states))
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -158,7 +155,7 @@ def _refute(reason: str) -> dict:
 
 def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     """None if structurally equal, else the first divergent parameter's cells."""
-    if left.pos_masks == right.pos_masks and left.neg_masks == right.neg_masks:
+    if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
         return None
     space = left.space
     for e, lp, ln, rp, rn in zip(
@@ -365,11 +362,13 @@ def run_catalogue(
 ) -> list[LawReport]:
     """Check selected laws (default: all) over exhaustive plus random instances.
 
-    Raises :class:`BoundsTooLarge` before any check if either source is over budget."""
+    Raises before any check: BoundsTooLarge if a source is over budget, InvalidArgument if none."""
     if law_ids is None:
         selected = catalogue()
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
+    if exhaustive is None and random_count == 0:
+        raise InvalidArgument("no instances to check: give an exhaustive pool or a random count")
     if exhaustive is not None:
         for law in selected:
             _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)

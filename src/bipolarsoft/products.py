@@ -27,8 +27,13 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
 def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:
     """Every ordered parameter pair: ``approve`` merges approving masks, ``reject`` rejecting ones."""
     ensure_same_space(a, b)
-    pos = tuple(approve(pa, pb) for pa in a.pos_masks for pb in b.pos_masks)
-    neg = tuple(reject(na, nb) for na in a.neg_masks for nb in b.neg_masks)
+    width = a.space.m * a.space.n
+    copies = a.space.cells_mask // a.space.full_mask  # bit 0 of every block
+    pos = neg = 0
+    # pair (k, l) is block k*n + l: row k is a's mask k copied into all n blocks, merged with b
+    for pa, na in zip(reversed(a.pos_masks), reversed(a.neg_masks)):
+        pos = pos << width | approve(pa * copies, b.pos_bits)
+        neg = neg << width | reject(na * copies, b.neg_bits)
     return BipolarSoftSet._closed(product_space(a.space), pos, neg)
 
 

@@ -83,6 +83,11 @@ class ParameterSpace:
         return (1 << len(self.universe)) - 1
 
     @cached_property
+    def cells_mask(self) -> int:
+        """All m·n cells of a packed int: bit ``k*m + i`` is object ``i`` at parameter ``k``."""
+        return (1 << self.m * self.n) - 1
+
+    @cached_property
     def object_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.universe)}
 

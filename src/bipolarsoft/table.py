@@ -59,12 +59,13 @@ class TabularForm:
 def to_table(bss: BipolarSoftSet) -> TabularForm:
     """Encode a bipolar soft set as its indicator matrix; orders follow the space."""
     space = bss.space
+    columns = tuple(zip(bss.pos_masks, bss.neg_masks))
     cells = []
     for i in range(space.m):
         bit = 1 << i
         cells.append(tuple(
             CellValue.POSITIVE if p & bit else CellValue.NEGATIVE if q & bit else CellValue.NEUTRAL
-            for p, q in zip(bss.pos_masks, bss.neg_masks)
+            for p, q in columns
         ))
     return TabularForm(space.universe, space.pairs, tuple(cells))
 

@@ -381,3 +381,10 @@ def test_check_laws_random_count_over_budget(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "BoundsTooLarge" in err
+
+
+def test_check_laws_without_instances_exits_two(capsys):
+    code, out, err = run_cli(capsys, "check-laws", "--random", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1

@@ -234,3 +234,17 @@ def test_parse_raises_only_package_errors(text):
     except BipolarSoftError:
         return
     assert parse(serialize(value)) == value
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_parse_and_load_agree_on_non_utf8_bytes(encoding, tmp_path):
+    data = serialize(corpus.houses_a()).encode(encoding)
+    path = tmp_path / "doc.bss.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as loaded:
+        load(path)
+    with pytest.raises(ParseError) as parsed:
+        parse(data)
+    assert str(parsed.value) == str(loaded.value)
+    if encoding != "utf-8-sig":
+        assert str(parsed.value).startswith("byte 0: not UTF-8 text (")

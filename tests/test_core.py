@@ -1,12 +1,22 @@
+import copy
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from bipolarsoft import (
     BipolarSoftSet,
     CellValue,
+    ParameterSpace,
+    and_product,
     check_law,
     enumerate_bss,
     exhaustive_tuples,
+    or_product,
     random_tuples,
+    scores,
+    to_table,
 )
 from bipolarsoft.errors import (
     BipolarSoftError,
@@ -228,9 +238,71 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: list(random_tuples(1, 1, 1, max_m=0)),
     lambda: check_law("union-commutative", [corpus.houses_a()]),
     lambda: CellValue.from_pair(1, 1),
-], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell"])
+    lambda: BipolarSoftSet(corpus.space4(), 1 << 32, 0),
+    lambda: BipolarSoftSet(corpus.space4(), 0, -1),
+], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
+        "packed-range", "packed-negative"])
 def test_bad_arguments_raise_package_errors(call):
     with pytest.raises(InvalidArgument) as err:
         call()
     assert isinstance(err.value, BipolarSoftError)
     assert isinstance(err.value, ValueError)
+
+
+def _seeded_set(space: ParameterSpace, seed: int) -> BipolarSoftSet:
+    """Every cell drawn from a seeded generator, built through the mask-sequence form."""
+    rng = random.Random(seed)
+    pos, neg = [0] * space.n, [0] * space.n
+    for k in range(space.n):
+        for i in range(space.m):
+            state = rng.randrange(3)
+            if state == 0:
+                pos[k] |= 1 << i
+            elif state == 1:
+                neg[k] |= 1 << i
+    return BipolarSoftSet(space, pos, neg)
+
+
+@pytest.mark.parametrize("m, n", [(64, 32), (65, 3), (1, 1)])
+def test_packed_representation_agrees_with_oracle_at_multiword_sizes(m, n):
+    space = ParameterSpace(
+        tuple(f"o{i}" for i in range(m)),
+        tuple(f"p{k}" for k in range(n)),
+        tuple(f"q{k}" for k in range(n)),
+    )
+    a, b = _seeded_set(space, 1), _seeded_set(space, 2)
+    va, vb = oracle.member_view(a), oracle.member_view(b)
+    assert oracle.member_view(a | b) == oracle.union_sets(va, vb)
+    assert oracle.member_view(a & b) == oracle.intersection_sets(va, vb)
+    assert oracle.member_view(~a) == oracle.complement_sets(va)
+    assert (a & b).is_subset_of(a) and a.is_subset_of(a | b)
+    for combine, oracle_fn in ((and_product, oracle.and_product_sets),
+                               (or_product, oracle.or_product_sets)):
+        want = oracle_fn(va, vb, space.positive_params)
+        got = oracle.member_view(combine(a, b))
+        assert got == {f"({e},{ep})": cell for (e, ep), cell in want.items()}
+    counts = [(row.object_id, row.c_plus, row.c_minus, row.score) for row in scores(a)]
+    assert counts == oracle.table_counts(to_table(a))
+
+    for value in (a, ~b, and_product(a, b)):
+        assert BipolarSoftSet(value.space, value.pos_masks, value.neg_masks) == value
+        assert BipolarSoftSet(value.space, value.pos_bits, value.neg_bits) == value
+        assert dataclasses.replace(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+
+    # the packed form is checked like the mask sequences, with the same error types
+    with pytest.raises(InvalidArgument):
+        BipolarSoftSet(space, 1 << m * n, 0)
+    with pytest.raises(InvalidArgument):
+        BipolarSoftSet(space, 0, -1)
+    last = n - 1  # object o0 approves and rejects the last parameter
+    with pytest.raises(DisjointnessViolation) as packed:
+        BipolarSoftSet(space, a.pos_bits | 1 << last * m, a.neg_bits | 1 << last * m)
+    pos, neg = list(a.pos_masks), list(a.neg_masks)
+    pos[last] |= 1
+    neg[last] |= 1
+    with pytest.raises(DisjointnessViolation) as masks:
+        BipolarSoftSet(space, pos, neg)
+    assert str(packed.value) == str(masks.value)
+    assert (packed.value.param, packed.value.witnesses) == (f"p{last}", ("o0",))

@@ -15,7 +15,7 @@ from bipolarsoft import (
     recheck,
     run_catalogue,
 )
-from bipolarsoft.errors import BoundsTooLarge, UnknownLaw
+from bipolarsoft.errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 
 import oracle
 
@@ -260,3 +260,14 @@ def test_run_catalogue_random_only():
 def test_run_catalogue_rejects_unknown_law():
     with pytest.raises(UnknownLaw):
         run_catalogue(law_ids=["does-not-exist"], exhaustive=(1, 1), random_count=0)
+
+
+def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
+    from bipolarsoft import laws
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a law was checked although no instance source was given")
+
+    monkeypatch.setattr(laws, "check_law", reached)
+    with pytest.raises(InvalidArgument):
+        run_catalogue(exhaustive=None, random_count=0)
