@@ -48,16 +48,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    bss = codec.load(args.path)
-    tab = to_table(bss)
-    if args.format == "csv":
-        text = render_table_csv(tab)
-    elif args.format == "json":
-        text = _json_text(table_document(tab))
-    else:
-        text = render_table_text(tab)
-    _emit(text, args.output)
+def cmd_render(args) -> int:
+    """``table`` and ``decide``: compute a result from one document and emit it in ``--format``."""
+    compute, text, csv, document = args.renderers()
+    result = compute(codec.load(args.path))
+    render = {"text": text, "csv": csv, "json": lambda r: _json_text(document(r))}[args.format]
+    _emit(render(result), args.output)
     return 0
 
 
@@ -88,23 +84,7 @@ def cmd_op(args) -> int:
     return 0 if verdict else 1
 
 
-def cmd_decide(args) -> int:
-    bss = codec.load(args.path)
-    result = decision.decide(bss)
-    if args.format == "csv":
-        text = decision.render_scores_csv(result)
-    elif args.format == "json":
-        text = _json_text(decision.scores_document(result))
-    else:
-        text = decision.render_scores_text(result)
-    _emit(text, args.output)
-    return 0
-
-
 def cmd_check_laws(args) -> int:
-    if args.law:
-        for law_id in args.law:
-            laws.get_law(law_id)  # fail fast on unknown ids
     exhaustive = tuple(args.exhaustive) if args.exhaustive else None
     random_count = args.random
     if exhaustive is None and random_count is None:
@@ -148,15 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_render(name, help, renderers):
+        # ``renderers`` is called when the command runs, so it sees the names bound then.
+        p = sub.add_parser(name, help=help)
+        p.add_argument("path", type=Path)
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_render, renderers=renderers)
+
     p = sub.add_parser("validate", help="check a document and print a summary")
     p.add_argument("path", type=Path)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("table", help="render the indicator-pair table")
-    p.add_argument("path", type=Path)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_table)
+    add_render("table", "render the indicator-pair table",
+               lambda: (to_table, render_table_text, render_table_csv, table_document))
 
     p = sub.add_parser("op", help="apply an algebra operation to documents")
     p.add_argument("name", choices=_OPS)
@@ -164,11 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_op)
 
-    p = sub.add_parser("decide", help="score all objects and report the best")
-    p.add_argument("path", type=Path)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_decide)
+    add_render("decide", "score all objects and report the best",
+               lambda: (decision.decide, decision.render_scores_text,
+                        decision.render_scores_csv, decision.scores_document))
 
     p = sub.add_parser("check-laws", help="brute-force the law catalogue")
     p.add_argument("--law", action="append", help="check only this law id (repeatable)")

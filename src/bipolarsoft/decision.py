@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .core import BipolarSoftSet
+from .table import _csv_rows, _text_rows
 
 
 @dataclass(frozen=True)
@@ -49,30 +48,17 @@ def decide(bss: BipolarSoftSet) -> DecisionResult:
 
 
 def render_scores_text(result: DecisionResult) -> str:
-    header = ("object", "c+", "c-", "score")
-    body = [
-        (row.object_id, str(row.c_plus), str(row.c_minus), str(row.score))
-        for row in result.rows
+    rows = [("object", "c+", "c-", "score")] + [
+        (row.object_id, str(row.c_plus), str(row.c_minus), str(row.score)) for row in result.rows
     ]
-    widths = [max(len(line[k]) for line in [header] + body) for k in range(4)]
-    lines = []
-    for line in [header] + body:
-        cells = [line[0].ljust(widths[0])] + [
-            text.rjust(w) for text, w in zip(line[1:], widths[1:])
-        ]
-        lines.append("  ".join(cells).rstrip())
-    lines.append(f"max score: {result.max_score}")
-    lines.append("optimal: " + ", ".join(result.optimal))
-    return "\n".join(lines) + "\n"
+    optimal = ", ".join(result.optimal)
+    return _text_rows(rows, right=(1, 2, 3)) + f"max score: {result.max_score}\noptimal: {optimal}\n"
 
 
 def render_scores_csv(result: DecisionResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["object", "c_plus", "c_minus", "score"])
-    for row in result.rows:
-        writer.writerow([row.object_id, row.c_plus, row.c_minus, row.score])
-    return out.getvalue()
+    return _csv_rows([("object", "c_plus", "c_minus", "score")] + [
+        (row.object_id, row.c_plus, row.c_minus, row.score) for row in result.rows
+    ])
 
 
 def scores_document(result: DecisionResult) -> dict:

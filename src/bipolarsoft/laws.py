@@ -26,6 +26,8 @@ from .products import and_product, or_product
 from .space import ParameterSpace
 
 MAX_EXHAUSTIVE_CELLS = 12  # 3^12 instances per law from each source; anything larger is declined
+# Random cells per law (count * max_m * max_n * arity): the 3^12 count at the default bounds (6, 4).
+MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * 6 * 4 * 3
 
 
 # -- deterministic instance generation ---------------------------------------
@@ -374,6 +376,12 @@ def run_catalogue(
             _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)
     if random_count > 3 ** MAX_EXHAUSTIVE_CELLS:
         raise BoundsTooLarge(f"{random_count} random instances per law exceed 3^{MAX_EXHAUSTIVE_CELLS}")
+    for law in selected:
+        if random_count * random_bounds[0] * random_bounds[1] * law.arity > MAX_RANDOM_CELLS:
+            raise BoundsTooLarge(
+                f"{random_count} random instances of up to {random_bounds[0]}x{random_bounds[1]}"
+                f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
+            )
     reports = []
     for law in selected:
         sources = []

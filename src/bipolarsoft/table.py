@@ -96,33 +96,41 @@ def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
     return BipolarSoftSet(space, tuple(pos), tuple(neg))
 
 
-def _cell_text(cell: CellValue) -> str:
-    a, b = cell.pair
-    return f"({a},{b})"
+def _text_rows(rows, right=()) -> str:
+    """Rows of string cells as text: each column as wide as its widest cell, columns
+    two spaces apart, those numbered in ``right`` right-aligned, no trailing spaces."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    pads = [str.rjust if k in right else str.ljust for k in range(len(widths))]
+    return "".join(
+        "  ".join(pad(c, w) for pad, c, w in zip(pads, row, widths)).rstrip() + "\n"
+        for row in rows
+    )
+
+
+def _csv_rows(rows) -> str:
+    """Rows as CSV text with LF line endings."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _rows(table: TabularForm, corner: str, cell: str) -> list:
+    """Header and body rows; ``cell`` is a format string for a cell's (a, b) pair."""
+    text = {c: cell.format(*c.pair) for c in CellValue}
+    return [[corner] + [f"({p},{q})" for p, q in table.col_labels]] + [
+        [label] + [text[c] for c in row]
+        for label, row in zip(table.row_labels, table.cells)
+    ]
 
 
 def render_table_text(table: TabularForm) -> str:
     """Plain-text rendering with ``(1,0)``-style cells."""
-    header = [""] + [f"({p},{q})" for p, q in table.col_labels]
-    body = [
-        [label] + [_cell_text(c) for c in row]
-        for label, row in zip(table.row_labels, table.cells)
-    ]
-    widths = [max(len(line[k]) for line in [header] + body) for k in range(len(header))]
-    lines = []
-    for line in [header] + body:
-        lines.append("  ".join(text.ljust(w) for text, w in zip(line, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _text_rows(_rows(table, "", "({},{})"))
 
 
 def render_table_csv(table: TabularForm) -> str:
     """CSV rendering; cells serialize as quoted ``1,0`` pairs."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["object"] + [f"({p},{q})" for p, q in table.col_labels])
-    for label, row in zip(table.row_labels, table.cells):
-        writer.writerow([label] + [f"{a},{b}" for a, b in (c.pair for c in row)])
-    return out.getvalue()
+    return _csv_rows(_rows(table, "object", "{},{}"))
 
 
 def table_document(table: TabularForm) -> dict:

@@ -80,6 +80,47 @@ def test_table_output_file(capsys, fixtures_dir, tmp_path):
     assert target.read_text(encoding="utf-8").startswith(" ")
 
 
+_FORMAT_BYTES = {
+    ("table", "text"): "    (e1,é2)\nü1  (1,0)\nu2  (0,1)\n",
+    ("table", "csv"): 'object,"(e1,é2)"\nü1,"1,0"\nu2,"0,1"\n',
+    ("table", "json"): (
+        '{\n  "rows": [\n    "ü1",\n    "u2"\n  ],\n'
+        '  "columns": [\n    {\n      "pos": "e1",\n      "neg": "é2"\n    }\n  ],\n'
+        '  "cells": [\n    [\n      [\n        1,\n        0\n      ]\n    ],\n'
+        '    [\n      [\n        0,\n        1\n      ]\n    ]\n  ]\n}\n'
+    ),
+    ("decide", "text"): (
+        "object  c+  c-  score\nü1       1   0      1\nu2       0   1     -1\n"
+        "max score: 1\noptimal: ü1\n"
+    ),
+    ("decide", "csv"): "object,c_plus,c_minus,score\nü1,1,0,1\nu2,0,1,-1\n",
+    ("decide", "json"): (
+        '{\n  "rows": [\n'
+        '    {\n      "object": "ü1",\n      "c_plus": 1,\n      "c_minus": 0,\n      "score": 1\n    },\n'
+        '    {\n      "object": "u2",\n      "c_plus": 0,\n      "c_minus": 1,\n      "score": -1\n    }\n'
+        '  ],\n  "max_score": 1,\n  "optimal": [\n    "ü1"\n  ]\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(_FORMAT_BYTES))
+def test_render_formats_are_byte_exact(capsys, tmp_path, command, fmt):
+    # Text pads columns and right-aligns counts; CSV rows end in LF; JSON is
+    # indented by two spaces, keeps non-ASCII labels and ends in LF.
+    doc = tmp_path / "accents.bss.json"
+    doc.write_text(json.dumps({
+        "universe": ["ü1", "u2"],
+        "pairs": [{"pos": "e1", "neg": "é2"}],
+        "assignments": [{"param": "e1", "positive": ["ü1"], "negative": ["u2"]}],
+    }), encoding="utf-8")
+    expected = _FORMAT_BYTES[command, fmt]
+    code, out, err = run_cli(capsys, command, str(doc), "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+    target = tmp_path / "out"
+    assert run_cli(capsys, command, str(doc), "--format", fmt, "-o", str(target))[0] == 0
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
 def test_op_union_matches_reference(capsys, fixtures_dir):
     code, out, _ = run_cli(
         capsys, "op", "union",
@@ -381,6 +422,20 @@ def test_check_laws_random_count_over_budget(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "BoundsTooLarge" in err
+
+
+def test_check_laws_random_cells_over_budget(capsys, monkeypatch):
+    from bipolarsoft import laws
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a law was checked although the random instances are over budget")
+
+    monkeypatch.setattr(laws, "check_law", reached)
+    code, out, err = run_cli(capsys, "check-laws", "--law", "union-idempotent",
+                             "--random", "1", "--bounds", "100000", "100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BoundsTooLarge: ") and err.count("\n") == 1
 
 
 def test_check_laws_without_instances_exits_two(capsys):

@@ -71,6 +71,21 @@ def test_render_text_contains_rows_and_optimal():
     assert lines[5].split() == ["u5", "1", "3", "-2"]
     assert lines[-2] == "max score: 2"
     assert lines[-1] == "optimal: u1"
+    # The object column is left-aligned, the counts right-aligned, and every
+    # column is as wide as its widest cell.
+    assert text == (
+        "object  c+  c-  score\n"
+        "u1       3   1      2\n"
+        "u2       2   2      0\n"
+        "u3       2   3     -1\n"
+        "u4       2   2      0\n"
+        "u5       1   3     -2\n"
+        "u6       0   2     -2\n"
+        "u7       0   2     -2\n"
+        "u8       1   2     -1\n"
+        "max score: 2\n"
+        "optimal: u1\n"
+    )
 
 
 def test_render_csv():
@@ -79,6 +94,17 @@ def test_render_csv():
     assert lines[0] == "object,c_plus,c_minus,score"
     assert lines[1] == "u1,3,1,2"
     assert lines[3] == "u3,2,3,-1"
+    assert text == (
+        "object,c_plus,c_minus,score\n"
+        "u1,3,1,2\n"
+        "u2,2,2,0\n"
+        "u3,2,3,-1\n"
+        "u4,2,2,0\n"
+        "u5,1,3,-2\n"
+        "u6,0,2,-2\n"
+        "u7,0,2,-2\n"
+        "u8,1,2,-1\n"
+    )
 
 
 def test_scores_document():

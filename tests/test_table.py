@@ -94,6 +94,24 @@ def test_render_text():
     assert lines[1].split() == ["u1", "(1,0)", "(0,0)"]
     assert lines[2].split() == ["u2", "(0,1)", "(0,0)"]
     assert text.endswith("\n")
+    # Columns as wide as their widest cell, two spaces apart, no trailing
+    # spaces although the last column's cells are narrower than its header.
+    assert text == (
+        "    (e1,e2)  (e3,e4)\n"
+        "u1  (1,0)    (0,0)\n"
+        "u2  (0,1)    (0,0)\n"
+    )
+    assert render_table_text(to_table(corpus.house_ratings())) == (
+        "    (e1,e6)  (e2,e7)  (e3,e8)  (e4,e9)  (e5,e10)\n"
+        "u1  (1,0)    (0,1)    (1,0)    (0,0)    (1,0)\n"
+        "u2  (1,0)    (1,0)    (0,1)    (0,1)    (0,0)\n"
+        "u3  (0,1)    (0,1)    (1,0)    (0,1)    (1,0)\n"
+        "u4  (1,0)    (0,1)    (1,0)    (0,1)    (0,0)\n"
+        "u5  (0,1)    (0,0)    (0,1)    (1,0)    (0,1)\n"
+        "u6  (0,1)    (0,0)    (0,0)    (0,0)    (0,1)\n"
+        "u7  (0,1)    (0,0)    (0,1)    (0,0)    (0,0)\n"
+        "u8  (0,0)    (0,1)    (0,1)    (0,0)    (1,0)\n"
+    )
 
 
 def test_render_csv_quotes_cell_pairs():
@@ -102,6 +120,18 @@ def test_render_csv_quotes_cell_pairs():
     lines = text.splitlines()
     assert lines[0].startswith('object,"(e1,e2)"')
     assert lines[1] == 'u1,"1,0","0,1","0,1","0,0"'
+    # LF row endings, not the csv module's CRLF default.
+    assert render_table_csv(to_table(corpus.house_ratings())) == (
+        'object,"(e1,e6)","(e2,e7)","(e3,e8)","(e4,e9)","(e5,e10)"\n'
+        'u1,"1,0","0,1","1,0","0,0","1,0"\n'
+        'u2,"1,0","1,0","0,1","0,1","0,0"\n'
+        'u3,"0,1","0,1","1,0","0,1","1,0"\n'
+        'u4,"1,0","0,1","1,0","0,1","0,0"\n'
+        'u5,"0,1","0,0","0,1","1,0","0,1"\n'
+        'u6,"0,1","0,0","0,0","0,0","0,1"\n'
+        'u7,"0,1","0,0","0,1","0,0","0,0"\n'
+        'u8,"0,0","0,1","0,1","0,0","1,0"\n'
+    )
 
 
 def test_table_document_shape():
