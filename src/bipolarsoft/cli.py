@@ -7,7 +7,6 @@ constraint violation, failed must-hold law), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,8 +16,16 @@ from .errors import BipolarSoftError, BoundsTooLarge, InvalidArgument, ParseErro
 from .products import and_product, or_product
 from .table import render_table_csv, render_table_text, table_document, to_table
 
-_BINARY_OPS = ("union", "intersect", "and", "or", "subset", "equals")
-_OPS = _BINARY_OPS + ("complement",)
+# Each entry looks its operation up when it runs, so a patched or traced one is seen.
+_OPS = {
+    "union": lambda a, b: a.union(b),
+    "intersect": lambda a, b: a.intersection(b),
+    "and": lambda a, b: and_product(a, b),
+    "or": lambda a, b: or_product(a, b),
+    "subset": lambda a, b: a.is_subset_of(b),
+    "equals": lambda a, b: a.equals(b),
+    "complement": lambda a: a.complement(),
+}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -37,10 +44,6 @@ def _check_writable(output: str) -> None:
         os.remove(output)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 def cmd_validate(args) -> int:
     bss = codec.load(args.path)
     complete = "true" if bss.is_complete() else "false"
@@ -52,57 +55,42 @@ def cmd_render(args) -> int:
     """``table`` and ``decide``: compute a result from one document and emit it in ``--format``."""
     compute, text, csv, document = args.renderers()
     result = compute(codec.load(args.path))
-    render = {"text": text, "csv": csv, "json": lambda r: _json_text(document(r))}[args.format]
+    render = {"text": text, "csv": csv, "json": lambda r: codec._json_text(document(r))}[args.format]
     _emit(render(result), args.output)
     return 0
 
 
 def cmd_op(args) -> int:
-    expected = 1 if args.name == "complement" else 2
+    op = _OPS[args.name]
+    expected = op.__code__.co_argcount
     if len(args.paths) != expected:
         print(
             f"error: op {args.name} takes {expected} operand file(s), got {len(args.paths)}",
             file=sys.stderr,
         )
         return 2
-    operands = [codec.load(path) for path in args.paths]
-    if args.name == "subset":
-        verdict = operands[0].is_subset_of(operands[1])
-    elif args.name == "equals":
-        verdict = operands[0].equals(operands[1])
-    else:
-        result = {
-            "union": lambda: operands[0].union(operands[1]),
-            "intersect": lambda: operands[0].intersection(operands[1]),
-            "complement": lambda: operands[0].complement(),
-            "and": lambda: and_product(operands[0], operands[1]),
-            "or": lambda: or_product(operands[0], operands[1]),
-        }[args.name]()
-        _emit(codec.serialize(result), args.output)
-        return 0
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
+    result = op(*[codec.load(path) for path in args.paths])
+    if isinstance(result, bool):
+        print("true" if result else "false")
+        return 0 if result else 1
+    _emit(codec.serialize(result), args.output)
+    return 0
 
 
 def cmd_check_laws(args) -> int:
-    exhaustive = tuple(args.exhaustive) if args.exhaustive else None
-    random_count = args.random
-    if exhaustive is None and random_count is None:
-        exhaustive = (2, 2)
-        random_count = 1000
+    sources = {}  # no source flag: run_catalogue's default sources; either flag drops the other
+    if args.exhaustive or args.random is not None:
+        sources = {"exhaustive": args.exhaustive and tuple(args.exhaustive),
+                   "random_count": args.random or 0}
     reports = laws.run_catalogue(
-        law_ids=args.law or None,
-        exhaustive=exhaustive,
-        random_count=random_count or 0,
-        seed=args.seed,
-        random_bounds=tuple(args.bounds),
+        law_ids=args.law or None, seed=args.seed, random_bounds=tuple(args.bounds), **sources
     )
     failures = [r.law_id for r in reports if r.must_hold and not r.holds]
     doc = {
         "laws": [r.to_json() for r in reports],
         "must_hold_failures": failures,
     }
-    _emit(_json_text(doc), args.output)
+    _emit(codec._json_text(doc), args.output)
     return 1 if failures else 0
 
 
@@ -175,12 +163,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, BoundsTooLarge, InvalidArgument, UnknownLaw) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except BipolarSoftError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, BoundsTooLarge, InvalidArgument, UnknownLaw)) else 1
 
 
 if __name__ == "__main__":

@@ -41,9 +41,14 @@ def to_document(bss: BipolarSoftSet) -> dict:
     }
 
 
+def _json_text(doc) -> str:
+    """The package's one JSON text form: two-space indent, non-ASCII kept, final LF."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
 def serialize(bss: BipolarSoftSet) -> str:
     """Canonical text form; equal values yield byte-identical output."""
-    return json.dumps(to_document(bss), indent=2, ensure_ascii=False) + "\n"
+    return _json_text(to_document(bss))
 
 
 def _expect_list(value, location: str) -> list:

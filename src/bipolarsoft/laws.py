@@ -84,6 +84,8 @@ def random_tuples(
     """``count`` operand tuples; each tuple shares one randomly sized space."""
     if max_m < 1 or max_n < 1:
         raise InvalidArgument("size bounds must be positive")
+    if count < 0:
+        raise InvalidArgument(f"random count must be >= 0, got {count}")
     stream = _splitmix64(seed)
     for _ in range(count):
         m = 1 + next(stream) % max_m
@@ -212,22 +214,17 @@ def _subset_transitive(a, b, c) -> Violation:
 def _excluded_middle(a: BipolarSoftSet, join: bool) -> Violation:
     """A ∪ Aᶜ (``join``) approves exactly A's decided cells, rejects nothing, and is
     absolute iff A is complete; A ∩ Aᶜ is the mirror image with the sides swapped."""
+    decided = a.pos_bits | a.neg_bits
     if join:
-        term, verb, other, bound = "A ∪ Aᶜ", "approves", "rejecting", "absolute"
-        combined = a.union(a.complement())
-        kept, dropped = combined.pos_masks, combined.neg_masks
+        term, combined, bound = "A ∪ Aᶜ = absolute", a.union(a.complement()), _absolute(a)
+        expected = BipolarSoftSet._closed(a.space, decided, 0)
     else:
-        term, verb, other, bound = "A ∩ Aᶜ", "rejects", "approving", "null"
-        combined = a.intersection(a.complement())
-        kept, dropped = combined.neg_masks, combined.pos_masks
-    for e, k, d, ap, aq in zip(a.space.positive_params, kept, dropped, a.pos_masks, a.neg_masks):
-        if d:
-            return {"parameter": e, "reason": f"{term} has a nonempty {other} set"}
-        if k != ap | aq:
-            return {"parameter": e, "reason": f"{term} {verb} more or less than A's decided cells"}
-    if (combined == (_absolute(a) if join else _null(a))) != a.is_complete():
-        return _refute(f"{term} = {bound} does not coincide with A being complete")
-    return None
+        term, combined, bound = "A ∩ Aᶜ = null", a.intersection(a.complement()), _null(a)
+        expected = BipolarSoftSet._closed(a.space, 0, decided)
+    violation = _differs(combined, expected)
+    if violation is None and (combined == bound) != a.is_complete():
+        return _refute(f"{term} does not coincide with A being complete")
+    return violation
 
 
 # The catalogue, in report order.  Ids, descriptions and the operand order of
@@ -364,11 +361,13 @@ def run_catalogue(
 ) -> list[LawReport]:
     """Check selected laws (default: all) over exhaustive plus random instances.
 
-    Raises before any check: BoundsTooLarge if a source is over budget, InvalidArgument if none."""
+    Raises before any check: BoundsTooLarge if over budget, InvalidArgument if no source or a bad one."""
     if law_ids is None:
         selected = catalogue()
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
+    if exhaustive is not None and len(exhaustive) != 2 or len(random_bounds) != 2 or random_count < 0:
+        raise InvalidArgument("pools and bounds must be (m, n) pairs, and the random count >= 0")
     if exhaustive is None and random_count == 0:
         raise InvalidArgument("no instances to check: give an exhaustive pool or a random count")
     if exhaustive is not None:

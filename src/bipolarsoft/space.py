@@ -17,6 +17,10 @@ def _distinct(kind: str, ids: tuple[str, ...]) -> None:
         if x in seen:
             raise InvalidSpace(f"duplicate {kind} identifier {x!r}")
         seen.add(x)
+    try:  # once per list: a lone surrogate is a str that no UTF-8 file or stream can hold
+        "".join(ids).encode()
+    except UnicodeEncodeError as exc:
+        raise InvalidSpace(f"{kind} identifiers must be Unicode text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,25 @@ def test_op_equals(capsys, fixtures_dir):
 
 
 def test_op_wrong_operand_count(capsys, fixtures_dir):
-    code, _, err = run_cli(capsys, "op", "union", str(fixtures_dir / "houses_a.bss.json"))
+    code, out, err = run_cli(capsys, "op", "union", str(fixtures_dir / "houses_a.bss.json"))
     assert code == 2
-    assert "2 operand file(s)" in err
+    assert out == ""
+    assert err == "error: op union takes 2 operand file(s), got 1\n"
+
+
+@pytest.mark.parametrize("name", ["and", "or"])
+def test_op_product_rejects_colliding_composite_ids(capsys, tmp_path, name):
+    # (a,b) x c and a x (b,c) both compose to the positive id "(a,b,c)"
+    path = tmp_path / "collide.bss.json"
+    path.write_text(json.dumps({
+        "universe": ["u1"],
+        "pairs": [{"pos": e, "neg": f"not-{k}"} for k, e in enumerate(["a,b", "c", "a", "b,c"])],
+        "assignments": [],
+    }))
+    code, out, err = run_cli(capsys, "op", name, str(path), str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: InvalidSpace: duplicate positive parameter identifier '(a,b,c)'\n"
 
 
 def test_op_space_mismatch(capsys, fixtures_dir):
@@ -292,6 +308,16 @@ def test_check_laws_expected_failure_keeps_exit_zero(capsys):
     assert report["holds"] is False
     assert report["must_hold"] is False
     assert report["counterexample"]["operands"]
+
+
+@pytest.mark.parametrize("flags, count", [
+    ((), 81 + 1000),
+    (("--exhaustive", "1", "1", "--random", "5"), 3 + 5),
+], ids=["default-sources", "both-sources"])
+def test_check_laws_instance_sources(capsys, flags, count):
+    code, out, _ = run_cli(capsys, "check-laws", "--law", "union-idempotent", *flags)
+    assert code == 0
+    assert json.loads(out)["laws"][0]["instances_checked"] == count
 
 
 def test_check_laws_random_only(capsys):
@@ -405,8 +431,13 @@ def test_failing_command_leaves_output_untouched(capsys, tmp_path):
     existing = tmp_path / "existing.txt"
     existing.write_bytes(b"earlier result\n")
     fresh = tmp_path / "fresh.txt"
+    # ids that are not Unicode text cannot be written out
+    surrogate = tmp_path / "surrogate.bss.json"
+    surrogate.write_text('{"universe": ["\\ud800"], "pairs": [{"pos": "e", "neg": "f"}], '
+                         '"assignments": []}')
     assert run_cli(capsys, "decide", str(bad), "-o", str(existing))[0] == 2
     assert run_cli(capsys, "table", str(bad), "-o", str(fresh))[0] == 2
+    assert run_cli(capsys, "op", "complement", str(surrogate), "-o", str(existing))[0] == 2
     assert existing.read_bytes() == b"earlier result\n"
     assert not fresh.exists()
 

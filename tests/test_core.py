@@ -15,6 +15,7 @@ from bipolarsoft import (
     exhaustive_tuples,
     or_product,
     random_tuples,
+    run_catalogue,
     scores,
     to_table,
 )
@@ -240,9 +241,20 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: CellValue.from_pair(1, 1),
     lambda: BipolarSoftSet(corpus.space4(), 1 << 32, 0),
     lambda: BipolarSoftSet(corpus.space4(), 0, -1),
+    lambda: list(random_tuples(1, -2, 1)),
+    lambda: run_catalogue(exhaustive=None, random_count=-1),
+    lambda: run_catalogue(exhaustive=(2,)),
+    lambda: run_catalogue(random_bounds=(6,)),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
-        "packed-range", "packed-negative"])
-def test_bad_arguments_raise_package_errors(call):
+        "packed-range", "packed-negative", "random-count", "catalogue-count",
+        "catalogue-pool", "catalogue-bounds"])
+def test_bad_arguments_raise_package_errors(call, monkeypatch):
+    from bipolarsoft import laws
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a law was checked although the arguments are bad")
+
+    monkeypatch.setattr(laws, "check_law", reached)
     with pytest.raises(InvalidArgument) as err:
         call()
     assert isinstance(err.value, BipolarSoftError)

@@ -239,6 +239,24 @@ def test_unconditional_excluded_middle_witness_is_pinned(law_id, left, right):
     }
 
 
+def test_excluded_middle_witness_names_the_parameter(monkeypatch):
+    union = BipolarSoftSet.union
+
+    def lossy(a, b):  # drops the lowest approved cell
+        joined = union(a, b)
+        return BipolarSoftSet._closed(joined.space, joined.pos_bits & joined.pos_bits - 1,
+                                      joined.neg_bits)
+
+    monkeypatch.setattr(BipolarSoftSet, "union", lossy)
+    report = check_law("excluded-middle-union", enumerate_bss(1, 2))
+    witness = report.counterexample
+    assert (report.holds, report.instances_checked) == (False, 1)
+    assert witness["parameter"] == "e1"
+    assert witness["reason"] == "sides disagree"
+    assert witness["left"] == {"positive": [], "negative": []}
+    assert witness["right"] == {"positive": ["u1"], "negative": []}
+
+
 def test_run_catalogue_filter_and_order():
     wanted = ["demorgan-union", "subset-reflexive"]
     reports = run_catalogue(law_ids=wanted, exhaustive=(1, 1), random_count=20, seed=3)

@@ -55,8 +55,9 @@ def test_rejects_positive_negative_overlap():
 
 
 def test_rejects_non_string_identifiers():
-    with pytest.raises(InvalidSpace):
-        ParameterSpace(("a", 3), ("p",), ("q",))
+    for universe in (("a", 3), ("\ud800",)):  # a lone surrogate is a str but not Unicode text
+        with pytest.raises(InvalidSpace):
+            ParameterSpace(universe, ("p",), ("q",))
 
 
 def test_mask_round_trip():
