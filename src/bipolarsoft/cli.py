@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--exhaustive", nargs=2, type=_int_at_least(1), metavar=("M", "N"))
     p.add_argument("--random", type=_int_at_least(0), metavar="COUNT")
-    p.add_argument("--bounds", nargs=2, type=_int_at_least(1), default=(6, 4), metavar=("M", "N"))
+    p.add_argument("--bounds", nargs=2, type=_int_at_least(1), default=laws.DEFAULT_RANDOM_BOUNDS,
+                   metavar=("M", "N"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_check_laws)
 

@@ -7,6 +7,18 @@ laws are written out.  A law either holds on every supplied instance or
 the check stops at the first counterexample, which is stored in serialized
 form so the violation can be replayed later.
 
+``run_catalogue`` checks the exhaustive pool of every lattice row (each
+equation without a product, and subset transitivity) lane-parallel: many
+instances lie side by side along the parameter axis of one packed set, lane
+``t`` holding instance ``t`` in ``m·n`` contiguous bits.  Union,
+intersection, complement, null and absolute act cell by cell, so one bigint
+operation evaluates a term on every lane.  The first failing lane is the
+lowest set bit of the cells where the sides differ (for transitivity, of a
+per-lane flag); the scalar evaluator then re-runs the instances from that
+lane on, so the count and witness are the scalar check's.  The product De
+Morgan rows, the order rows, the conditional excluded-middle rows and the
+whole random source are checked one instance at a time.
+
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
 conditional forms are catalogued separately and must hold.
@@ -15,19 +27,21 @@ conditional forms are catalogued separately and must hold.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import codec
-from .core import BipolarSoftSet
+from .core import BipolarSoftSet, _pack
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
 
 MAX_EXHAUSTIVE_CELLS = 12  # 3^12 instances per law from each source; anything larger is declined
-# Random cells per law (count * max_m * max_n * arity): the 3^12 count at the default bounds (6, 4).
-MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * 6 * 4 * 3
+DEFAULT_RANDOM_BOUNDS = (6, 4)  # (max_m, max_n) of randomly sized instances
+# Random cells per law (count * max_m * max_n * arity): the 3^12 count at the default bounds.
+MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * math.prod(DEFAULT_RANDOM_BOUNDS) * 3
 
 
 # -- deterministic instance generation ---------------------------------------
@@ -46,7 +60,9 @@ def _splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-@lru_cache(maxsize=None)
+# Enough for every size the default random bounds draw; a space keeps its product space,
+# so an unbounded cache would hold one per size ever drawn.
+@lru_cache(maxsize=64)
 def standard_space(m: int, n: int) -> ParameterSpace:
     """The generated m-object, n-pair space shared by all instances of one size."""
     return ParameterSpace(
@@ -73,13 +89,16 @@ def _draw(space: ParameterSpace, stream: Iterator[int]) -> BipolarSoftSet:
     return BipolarSoftSet._closed(space, *_cells(states))
 
 
-def gen_bss(seed: int, max_m: int = 6, max_n: int = 4) -> BipolarSoftSet:
+def gen_bss(
+    seed: int, max_m: int = DEFAULT_RANDOM_BOUNDS[0], max_n: int = DEFAULT_RANDOM_BOUNDS[1]
+) -> BipolarSoftSet:
     """One random instance; sizes and cells are drawn from the seeded stream."""
     return next(random_tuples(seed, 1, 1, max_m, max_n))[0]
 
 
 def random_tuples(
-    seed: int, count: int, arity: int, max_m: int = 6, max_n: int = 4
+    seed: int, count: int, arity: int,
+    max_m: int = DEFAULT_RANDOM_BOUNDS[0], max_n: int = DEFAULT_RANDOM_BOUNDS[1],
 ) -> Iterator[tuple[BipolarSoftSet, ...]]:
     """``count`` operand tuples; each tuple shares one randomly sized space."""
     if max_m < 1 or max_n < 1:
@@ -131,6 +150,8 @@ class Law:
     must_hold: bool
     description: str
     evaluate: Callable[..., Violation]
+    # ``lanes(width, *lane_sets)``: an int whose lowest set bit lies in the first failing lane
+    lanes: Optional[Callable[..., int]] = None
 
 
 @dataclass(frozen=True)
@@ -157,9 +178,14 @@ def _refute(reason: str) -> dict:
     return {"parameter": None, "reason": reason}
 
 
+def _mismatch(left: BipolarSoftSet, right: BipolarSoftSet) -> int:
+    """The cells where two sets differ."""
+    return (left.pos_bits ^ right.pos_bits) | (left.neg_bits ^ right.neg_bits)
+
+
 def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     """None if structurally equal, else the first divergent parameter's cells."""
-    if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
+    if not _mismatch(left, right):
         return None
     space = left.space
     for e, lp, ln, rp, rn in zip(
@@ -182,9 +208,13 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
 Sides = Callable[..., tuple[BipolarSoftSet, BipolarSoftSet]]
 
 
-def _equation(law_id: str, arity: int, description: str, sides: Sides, must_hold: bool = True) -> Law:
-    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``."""
-    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)))
+def _equation(law_id: str, arity: int, description: str, sides: Sides,
+              must_hold: bool = True, cellwise: bool = True) -> Law:
+    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``.
+
+    ``cellwise`` sides use only lattice operations, so they also run on lane sets."""
+    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)),
+               (lambda width, *x: _mismatch(*sides(*x))) if cellwise else None)
 
 
 def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
@@ -211,6 +241,20 @@ def _subset_transitive(a, b, c) -> Violation:
     return None
 
 
+def _broken_chains(width: int, a, b, c) -> int:
+    """Bit 0 of each lane where A ≤ B and B ≤ C hold but A ≤ C does not."""
+    ones = a.space.cells_mask // ((1 << width) - 1)  # bit 0 of every lane
+
+    def not_below(x, y):  # bit 0 of each lane with a cell where x ≤ y fails
+        cells = x.pos_bits & ~y.pos_bits | y.neg_bits & ~x.neg_bits
+        flags = cells
+        for shift in range(1, width):
+            flags |= cells >> shift
+        return flags & ones
+
+    return not_below(a, c) & ~not_below(a, b) & ~not_below(b, c)
+
+
 def _excluded_middle(a: BipolarSoftSet, join: bool) -> Violation:
     """A ∪ Aᶜ (``join``) approves exactly A's decided cells, rejects nothing, and is
     absolute iff A is complete; A ∩ Aᶜ is the mirror image with the sides swapped."""
@@ -233,7 +277,8 @@ _LAWS = (
     _order("subset-reflexive", "A is a subset of itself",
            lambda a: (a, a), "A not a subset of itself"),
     Law("subset-transitive", 3, True,
-        "A subset of B and B subset of C implies A subset of C", _subset_transitive),
+        "A subset of B and B subset of C implies A subset of C", _subset_transitive,
+        _broken_chains),
     _order("subset-bounded-below", "the null set is a subset of everything",
            lambda a: (_null(a), a), "null not below A"),
     _order("subset-bounded-above", "everything is a subset of the absolute set",
@@ -283,10 +328,10 @@ _LAWS = (
                             a.complement().union(b.complement()))),
     _equation("demorgan-and-product", 2, "complement of A ∧ B equals Aᶜ ∨ Bᶜ",
               lambda a, b: (and_product(a, b).complement(),
-                            or_product(a.complement(), b.complement()))),
+                            or_product(a.complement(), b.complement())), cellwise=False),
     _equation("demorgan-or-product", 2, "complement of A ∨ B equals Aᶜ ∧ Bᶜ",
               lambda a, b: (or_product(a, b).complement(),
-                            and_product(a.complement(), b.complement()))),
+                            and_product(a.complement(), b.complement())), cellwise=False),
     Law("excluded-middle-union", 1, True,
         "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
         "and is absolute precisely when A is complete",
@@ -303,6 +348,87 @@ _LAWS = (
               lambda a: (a.intersection(a.complement()), _null(a)), must_hold=False),
 )
 _CATALOGUE = {law.law_id: law for law in _LAWS}
+
+
+# -- lane-parallel exhaustive pools -------------------------------------------
+
+
+class _LaneSpace:
+    """Sizes of a lane set, without ids, which a real space would build and check for
+    every lane.  Only lattice operations inside this module ever see it."""
+
+    __slots__ = ("m", "n", "cells_mask")
+
+    def __init__(self, m: int, n: int) -> None:
+        self.m, self.n, self.cells_mask = m, n, (1 << m * n) - 1
+
+
+class _Batch:
+    """The exhaustive instances ``head + tail``, ``tail`` running over the ``k``-tuples
+    of the pool in ``exhaustive_tuples`` order; lane ``t`` of ``operands`` holds the t-th."""
+
+    __slots__ = ("pool", "head", "k", "operands")
+
+    def __init__(self, pool: "_Pool", head: tuple, k: int, operands: tuple) -> None:
+        self.pool, self.head, self.k, self.operands = pool, head, k, operands
+
+    def first_failure(self, lanes: Callable[..., int]) -> int:
+        """The first lane that ``lanes`` flags, or the lane count if none is flagged."""
+        width = self.pool.width
+        flags = lanes(width, *self.operands)
+        if not flags:
+            return len(self.pool.sets) ** self.k
+        return ((flags & -flags).bit_length() - 1) // width
+
+    def instances(self, start: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
+        tails = itertools.product(self.pool.sets, repeat=self.k)
+        return (self.head + tail for tail in itertools.islice(tails, start, None))
+
+
+def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
+    """For each position of a k-tuple, the ints ``values`` take there in every one of the
+    ``itertools.product(values, repeat=k)`` tuples, one tuple per ``width``-bit lane."""
+    if k == 0:
+        return []
+    lanes = len(values) ** (k - 1)  # the tuples that share a first value
+    ones = _pack((1,) * lanes, width)
+    block = lanes * width
+    return ([_pack(tuple(v * ones for v in values), block)]
+            + [_pack((inner,) * len(values), block) for inner in _lanes_of(values, width, k - 1)])
+
+
+class _Pool:
+    """One exhaustive m-by-n pool as lane sets, built on first use and shared by the laws
+    of one ``run_catalogue`` call."""
+
+    def __init__(self, m: int, n: int) -> None:
+        self.m, self.n, self.width = m, n, m * n
+        self._tails: dict = {}
+
+    @cached_property
+    def sets(self) -> list[BipolarSoftSet]:
+        return list(enumerate_bss(self.m, self.n))
+
+    def _tail(self, k: int) -> tuple[int, tuple[BipolarSoftSet, ...]]:
+        """Bit 0 of each of the N^k lanes, and k lane sets whose lane t holds the t-th k-tuple."""
+        if k not in self._tails:
+            space = _LaneSpace(self.m, self.n * len(self.sets) ** k)
+            pos = _lanes_of(tuple(s.pos_bits for s in self.sets), self.width, k)
+            neg = _lanes_of(tuple(s.neg_bits for s in self.sets), self.width, k)
+            self._tails[k] = (space.cells_mask // ((1 << self.width) - 1),
+                              tuple(BipolarSoftSet._closed(space, p, q) for p, q in zip(pos, neg)))
+        return self._tails[k]
+
+    def batches(self, arity: int) -> Iterator[_Batch]:
+        """The pool's ``arity``-tuples: the last two operands in lanes, the leading one
+        (if any) copied into every lane of one batch per value."""
+        k = min(arity, 2)
+        ones, tail = self._tail(k)
+        space = tail[0].space
+        for head in itertools.product(self.sets, repeat=arity - k):
+            spread = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
+                           for h in head)
+            yield _Batch(self, head, k, spread + tail)
 
 
 # -- checking -----------------------------------------------------------------
@@ -329,15 +455,26 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
     law = get_law(law_id)
     checked = 0
     for item in instances:
-        operands = item if isinstance(item, tuple) else (item,)
-        if len(operands) != law.arity:
-            raise InvalidArgument(f"law {law_id!r} takes {law.arity} operand(s), got {len(operands)}")
-        checked += 1
-        violation = law.evaluate(*operands)
-        if violation is not None:
-            witness = {"operands": [codec.to_document(o) for o in operands]}
-            witness.update(violation)
-            return LawReport(law_id, law.must_hold, checked, False, witness)
+        if isinstance(item, _Batch):  # only from run_catalogue, for laws with ``lanes``
+            try:
+                first = item.first_failure(law.lanes)
+            except AttributeError:  # an operation read ids a lane set lacks: it is not cellwise
+                first = 0
+            checked += first
+            items = item.instances(first)  # normally the first one already fails
+        else:
+            items = (item,)
+        for operands in items:
+            operands = operands if isinstance(operands, tuple) else (operands,)
+            if len(operands) != law.arity:
+                raise InvalidArgument(
+                    f"law {law_id!r} takes {law.arity} operand(s), got {len(operands)}")
+            checked += 1
+            violation = law.evaluate(*operands)
+            if violation is not None:
+                witness = {"operands": [codec.to_document(o) for o in operands]}
+                witness.update(violation)
+                return LawReport(law_id, law.must_hold, checked, False, witness)
     return LawReport(law_id, law.must_hold, checked, True, None)
 
 
@@ -357,7 +494,7 @@ def run_catalogue(
     exhaustive: Optional[tuple[int, int]] = (2, 2),
     random_count: int = 1000,
     seed: int = 1,
-    random_bounds: tuple[int, int] = (6, 4),
+    random_bounds: tuple[int, int] = DEFAULT_RANDOM_BOUNDS,
 ) -> list[LawReport]:
     """Check selected laws (default: all) over exhaustive plus random instances.
 
@@ -368,6 +505,8 @@ def run_catalogue(
         selected = tuple(get_law(law_id) for law_id in law_ids)
     if exhaustive is not None and len(exhaustive) != 2 or len(random_bounds) != 2 or random_count < 0:
         raise InvalidArgument("pools and bounds must be (m, n) pairs, and the random count >= 0")
+    if random_count and min(random_bounds) < 1:
+        raise InvalidArgument("size bounds must be positive")
     if exhaustive is None and random_count == 0:
         raise InvalidArgument("no instances to check: give an exhaustive pool or a random count")
     if exhaustive is not None:
@@ -381,11 +520,13 @@ def run_catalogue(
                 f"{random_count} random instances of up to {random_bounds[0]}x{random_bounds[1]}"
                 f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
             )
+    pool = _Pool(*exhaustive) if exhaustive is not None else None
     reports = []
     for law in selected:
         sources = []
-        if exhaustive is not None:
-            sources.append(exhaustive_tuples(exhaustive[0], exhaustive[1], law.arity))
+        if pool is not None:
+            sources.append(pool.batches(law.arity) if law.lanes
+                           else exhaustive_tuples(exhaustive[0], exhaustive[1], law.arity))
         if random_count:
             sources.append(
                 random_tuples(seed, random_count, law.arity, *random_bounds)

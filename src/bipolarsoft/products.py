@@ -13,15 +13,10 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
 
     Positive ids are ``(e,e')`` composites in lexicographic base order, each
     paired with the composite of the two negations.  The result is an
-    ordinary space, so products nest.
+    ordinary space, so products nest.  It is built once per base space and
+    kept on it, so it lives exactly as long as the base.
     """
-    pos = []
-    neg = []
-    for e, ne in base.pairs:
-        for ep, nep in base.pairs:
-            pos.append(f"({e},{ep})")
-            neg.append(f"({ne},{nep})")
-    return ParameterSpace(base.universe, tuple(pos), tuple(neg))
+    return base._squared
 
 
 def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:

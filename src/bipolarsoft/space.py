@@ -92,6 +92,17 @@ class ParameterSpace:
         return (1 << self.m * self.n) - 1
 
     @cached_property
+    def _squared(self) -> "ParameterSpace":
+        """The and/or-product space, ``products.product_space``: built once, on first use."""
+        pos = []
+        neg = []
+        for e, ne in self.pairs:
+            for ep, nep in self.pairs:
+                pos.append(f"({e},{ep})")
+                neg.append(f"({ne},{nep})")
+        return ParameterSpace(self.universe, tuple(pos), tuple(neg))
+
+    @cached_property
     def object_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.universe)}
 

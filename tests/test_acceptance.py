@@ -6,6 +6,7 @@ exhaustive 2x2 instance pool (81 sets, all ordered tuples per arity) plus
 1000 seeded random instances per law, and must finish within its budget.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -224,6 +225,15 @@ def test_corrected_excluded_middle(catalogue_run):
         )
         assert (joined == BipolarSoftSet.absolute(a.space)) == a.is_complete()
     _passed("corrected excluded-middle")
+
+
+def test_catalogue_reports_are_pinned(catalogue_run):
+    # every report, counts and witnesses included, as the scalar checker wrote them
+    reports, _ = catalogue_run
+    text = json.dumps([r.to_json() for r in reports.values()], ensure_ascii=False)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "03c30f0ee845064b79cd49a7f0cd2c9372fbbf01758bf25fabd80153118207b7"
+    _passed("pinned catalogue reports")
 
 
 def test_closure_and_round_trips(fixtures_dir):

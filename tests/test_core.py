@@ -245,9 +245,11 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(exhaustive=None, random_count=-1),
     lambda: run_catalogue(exhaustive=(2,)),
     lambda: run_catalogue(random_bounds=(6,)),
+    lambda: run_catalogue(law_ids=["union-idempotent"], exhaustive=(2, 2), random_count=5,
+                          random_bounds=(0, 4)),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
-        "catalogue-pool", "catalogue-bounds"])
+        "catalogue-pool", "catalogue-bounds", "catalogue-bound-size"])
 def test_bad_arguments_raise_package_errors(call, monkeypatch):
     from bipolarsoft import laws
 

@@ -16,6 +16,7 @@ from bipolarsoft import (
     run_catalogue,
 )
 from bipolarsoft.errors import BoundsTooLarge, InvalidArgument, UnknownLaw
+from bipolarsoft.laws import MAX_EXHAUSTIVE_CELLS
 
 import oracle
 
@@ -289,3 +290,77 @@ def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
     monkeypatch.setattr(laws, "check_law", reached)
     with pytest.raises(InvalidArgument):
         run_catalogue(exhaustive=None, random_count=0)
+
+
+# Exhaustive pools within the 3^12 budget for at least the unary laws; run_catalogue
+# checks the lattice rows on them lane-parallel, check_law one instance at a time.
+POOLS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (1, 4), (4, 1)]
+
+
+def _lane_and_scalar_reports(pool, laws):
+    m, n = pool
+    for law in laws:
+        if m * n * law.arity <= MAX_EXHAUSTIVE_CELLS:
+            fast = run_catalogue(law_ids=[law.law_id], exhaustive=pool, random_count=0)[0]
+            yield fast, check_law(law.law_id, exhaustive_tuples(m, n, law.arity))
+
+
+@pytest.mark.parametrize("pool", POOLS, ids=[f"{m}x{n}" for m, n in POOLS])
+def test_run_catalogue_matches_the_scalar_check(pool):
+    for fast, scalar in _lane_and_scalar_reports(pool, catalogue()):
+        assert fast == scalar, fast.law_id
+
+
+def _union_rejecting_over_neutral(a, b):  # neutral ∪ reject should stay neutral
+    return BipolarSoftSet._closed(a.space, a.pos_bits | b.pos_bits, b.neg_bits & ~a.pos_bits)
+
+
+def _intersection_approving_under_neutral(a, b):  # neutral ∩ approve should stay neutral
+    return BipolarSoftSet._closed(a.space, b.pos_bits & ~a.neg_bits, a.neg_bits | b.neg_bits)
+
+
+@pytest.mark.parametrize("op, fault, law_id, first_failure", [
+    ("union", _union_rejecting_over_neutral, "distributive-intersection-over-union", 13124),
+    ("intersection", _intersection_approving_under_neutral,
+     "distributive-union-over-intersection", 13204),
+], ids=["union", "intersection"])
+def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
+        op, fault, law_id, first_failure, monkeypatch):
+    # a fault that acts on each cell alone is seen in every lane, so the first failing
+    # lane is the first failing instance, even in a late batch
+    monkeypatch.setattr(BipolarSoftSet, op, fault)
+    failed = 0
+    for pool in POOLS:
+        # the ternary laws that still hold cost seconds each on 4-cell pools
+        laws = [law for law in catalogue()
+                if law.lanes and (pool[0] * pool[1] < 4 or law.arity < 3 or law.law_id == law_id)]
+        for fast, scalar in _lane_and_scalar_reports(pool, laws):
+            assert fast == scalar, (pool, fast.law_id)
+            failed += not fast.holds
+    assert failed > len(POOLS)
+    report = run_catalogue(law_ids=[law_id], exhaustive=(2, 2), random_count=0)[0]
+    assert report.instances_checked == first_failure > 81 ** 2  # past the first batch
+    assert recheck(report)
+
+
+def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
+    calls = []
+    union = BipolarSoftSet.union
+    monkeypatch.setattr(BipolarSoftSet, "union", lambda a, b: calls.append(1) or union(a, b))
+    report = run_catalogue(law_ids=["union-associative"], exhaustive=(2, 2), random_count=0)[0]
+    assert (report.holds, report.instances_checked) == (True, 81 ** 3)
+    assert len(calls) == 81 * 4  # four unions per batch of 81² triples
+
+
+def test_an_operation_that_reads_ids_is_checked_one_instance_at_a_time(monkeypatch):
+    union = BipolarSoftSet.union
+
+    def lossy(a, b):  # drops the lowest approved cell and rebuilds through the checking constructor
+        joined = union(a, b)
+        return BipolarSoftSet(joined.space, joined.pos_bits & joined.pos_bits - 1, joined.neg_bits)
+
+    monkeypatch.setattr(BipolarSoftSet, "union", lossy)
+    for pool in [(1, 2), (2, 1), (1, 3)]:
+        laws = [law for law in catalogue() if law.lanes]
+        for fast, scalar in _lane_and_scalar_reports(pool, laws):
+            assert fast == scalar, (pool, fast.law_id)

@@ -18,6 +18,15 @@ def test_product_space_structure():
     assert product_space(corpus.space4()).n == 16
 
 
+def test_product_space_is_built_once_per_base():
+    a, b = corpus.houses3_a(), corpus.houses3_b()
+    squared = product_space(a.space)
+    assert product_space(a.space) is squared
+    assert and_product(a, b).space is squared and or_product(a, b).space is squared
+    rebuilt = product_space(corpus.space3())  # an equal base has its own, equal, product space
+    assert rebuilt == squared and rebuilt is not squared
+
+
 def test_and_product_cells():
     got = oracle.member_view(and_product(corpus.houses3_a(), corpus.houses3_b()))
     assert got == corpus.AND_PRODUCT_CELLS
