@@ -7,17 +7,24 @@ laws are written out.  A law either holds on every supplied instance or
 the check stops at the first counterexample, which is stored in serialized
 form so the violation can be replayed later.
 
-``run_catalogue`` checks the exhaustive pool of every lattice row (each
-equation without a product, and subset transitivity) lane-parallel: many
-instances lie side by side along the parameter axis of one packed set, lane
-``t`` holding instance ``t`` in ``m·n`` contiguous bits.  Union,
-intersection, complement, null and absolute act cell by cell, so one bigint
-operation evaluates a term on every lane.  The first failing lane is the
-lowest set bit of the cells where the sides differ (for transitivity, of a
-per-lane flag); the scalar evaluator then re-runs the instances from that
-lane on, so the count and witness are the scalar check's.  The product De
-Morgan rows, the order rows, the conditional excluded-middle rows and the
-whole random source are checked one instance at a time.
+``run_catalogue`` checks every lattice row (each equation without a product,
+and subset transitivity) lane-parallel: many instances of one size lie side
+by side along the parameter axis of one packed set, each lane holding one
+instance in ``m·n`` contiguous bits.  Union, intersection, complement, null
+and absolute act cell by cell, so one bigint operation evaluates a term on
+every lane.  The first failing lane is the lowest set bit of the cells where
+the sides differ (for transitivity, of a per-lane flag); the scalar
+evaluator then re-runs that instance, and goes on one instance at a time if
+it passes, so the count and witness are the scalar check's.
+
+In the exhaustive pool, lane ``t`` holds instance ``t`` of the
+``exhaustive_tuples`` order.  The random source is drawn once per arity and
+shared by every selected law of that arity.  It is consumed in chunks of
+``_CHUNK`` instances, so memory does not grow with the count.  A chunk is
+split by size ``(m, n)``, lane ``t`` of a size holding its ``t``-th
+instance, and a law's first failure is the lowest chunk index that any size
+flags.  The product De Morgan rows, the order rows and the conditional
+excluded-middle rows are checked one instance at a time on both sources.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
@@ -47,6 +54,13 @@ MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * math.prod(DEFAULT_RANDOM_BOUNDS) 
 # -- deterministic instance generation ---------------------------------------
 
 _MASK64 = (1 << 64) - 1
+
+
+def _require_ints(**values: object) -> None:
+    """Raise InvalidArgument naming the first value that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
 def _splitmix64(seed: int) -> Iterator[int]:
@@ -101,10 +115,13 @@ def random_tuples(
     max_m: int = DEFAULT_RANDOM_BOUNDS[0], max_n: int = DEFAULT_RANDOM_BOUNDS[1],
 ) -> Iterator[tuple[BipolarSoftSet, ...]]:
     """``count`` operand tuples; each tuple shares one randomly sized space."""
+    _require_ints(seed=seed, count=count, arity=arity, max_m=max_m, max_n=max_n)
     if max_m < 1 or max_n < 1:
         raise InvalidArgument("size bounds must be positive")
     if count < 0:
         raise InvalidArgument(f"random count must be >= 0, got {count}")
+    if arity < 1:
+        raise InvalidArgument(f"arity must be >= 1, got {arity}")
     stream = _splitmix64(seed)
     for _ in range(count):
         m = 1 + next(stream) % max_m
@@ -115,6 +132,7 @@ def random_tuples(
 
 def _check_exhaustive(m: int, n: int, arity: int) -> None:
     """Decline an exhaustive pool whose ``arity``-tuples span more than 3^12 cases."""
+    _require_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise InvalidArgument("dimensions must be positive")
     if m * n * arity > MAX_EXHAUSTIVE_CELLS:
@@ -350,7 +368,7 @@ _LAWS = (
 _CATALOGUE = {law.law_id: law for law in _LAWS}
 
 
-# -- lane-parallel exhaustive pools -------------------------------------------
+# -- lane-parallel sources ------------------------------------------------------
 
 
 class _LaneSpace:
@@ -363,6 +381,11 @@ class _LaneSpace:
         self.m, self.n, self.cells_mask = m, n, (1 << m * n) - 1
 
 
+def _first_lane(flags: int, width: int) -> int:
+    """The lane of the lowest set bit of the nonzero ``flags``."""
+    return ((flags & -flags).bit_length() - 1) // width
+
+
 class _Batch:
     """The exhaustive instances ``head + tail``, ``tail`` running over the ``k``-tuples
     of the pool in ``exhaustive_tuples`` order; lane ``t`` of ``operands`` holds the t-th."""
@@ -372,17 +395,84 @@ class _Batch:
     def __init__(self, pool: "_Pool", head: tuple, k: int, operands: tuple) -> None:
         self.pool, self.head, self.k, self.operands = pool, head, k, operands
 
-    def first_failure(self, lanes: Callable[..., int]) -> int:
-        """The first lane that ``lanes`` flags, or the lane count if none is flagged."""
+    def split(self, law: Law) -> tuple[int, Iterable[tuple[BipolarSoftSet, ...]]]:
+        """The count of instances before the first lane ``law.lanes`` flags, and the
+        instances from that lane on (normally the first one already fails)."""
         width = self.pool.width
-        flags = lanes(width, *self.operands)
-        if not flags:
-            return len(self.pool.sets) ** self.k
-        return ((flags & -flags).bit_length() - 1) // width
-
-    def instances(self, start: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
+        try:
+            flags = law.lanes(width, *self.operands)
+            first = _first_lane(flags, width) if flags else len(self.pool.sets) ** self.k
+        except AttributeError:  # an operation read ids a lane set lacks: it is not cellwise
+            first = 0
         tails = itertools.product(self.pool.sets, repeat=self.k)
-        return (self.head + tail for tail in itertools.islice(tails, start, None))
+        return first, (self.head + tail for tail in itertools.islice(tails, first, None))
+
+
+class _Drawn:
+    """A law's random source once ``_sweep`` has checked it: the count of instances
+    before the first failing one, and that instance's operands if one failed."""
+
+    __slots__ = ("passed", "failing")
+
+    def __init__(self, passed: int, failing: tuple = ()) -> None:
+        self.passed, self.failing = passed, failing
+
+    def split(self, law: Law) -> tuple[int, tuple]:
+        return self.passed, self.failing
+
+
+_CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
+
+
+def _size_groups(chunk: list[tuple]) -> list[tuple[list[int], int, tuple]]:
+    """Per size in ``chunk``: the indices of its instances, its lane width ``m·n``, and
+    one lane set per operand position whose lane ``t`` holds the size's t-th instance."""
+    by_size: dict = {}
+    for i, operands in enumerate(chunk):
+        by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(i)
+    groups = []
+    for (m, n), indices in by_size.items():
+        space, width = _LaneSpace(m, n * len(indices)), m * n
+        columns = zip(*(chunk[i] for i in indices))
+        groups.append((indices, width, tuple(
+            BipolarSoftSet._closed(space, _pack(tuple(x.pos_bits for x in column), width),
+                                   _pack(tuple(x.neg_bits for x in column), width))
+            for column in columns)))
+    return groups
+
+
+def _first_failing(law: Law, chunk: list[tuple], groups: list) -> Optional[int]:
+    """The index of the first instance in ``chunk`` that fails ``law``, or None.  The lanes
+    point at it and the scalar evaluator confirms it, going on one at a time if it passes."""
+    start = 0
+    if law.lanes is not None:
+        try:
+            start = min((indices[_first_lane(flags, width)] for indices, width, lane_sets in groups
+                         if (flags := law.lanes(width, *lane_sets))), default=len(chunk))
+        except AttributeError:  # an operation read ids a lane set lacks
+            start = 0
+    for i in range(start, len(chunk)):
+        if law.evaluate(*chunk[i]) is not None:
+            return i
+    return None
+
+
+def _sweep(laws: Iterable[Law], draw: Iterator[tuple]) -> dict[str, _Drawn]:
+    """Each law of one arity on one shared random ``draw``, a chunk at a time, until every
+    law has failed or the draw is spent."""
+    pending = list(laws)
+    outcomes: dict = {}
+    offset = 0  # instances drawn before this chunk
+    while pending and (chunk := list(itertools.islice(draw, _CHUNK))):
+        groups = _size_groups(chunk) if any(law.lanes for law in pending) else []
+        for law in pending:
+            i = _first_failing(law, chunk, groups)
+            if i is not None:
+                outcomes[law.law_id] = _Drawn(offset + i, (chunk[i],))
+        pending = [law for law in pending if law.law_id not in outcomes]
+        offset += len(chunk)
+    outcomes.update((law.law_id, _Drawn(offset)) for law in pending)
+    return outcomes
 
 
 def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
@@ -455,13 +545,9 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
     law = get_law(law_id)
     checked = 0
     for item in instances:
-        if isinstance(item, _Batch):  # only from run_catalogue, for laws with ``lanes``
-            try:
-                first = item.first_failure(law.lanes)
-            except AttributeError:  # an operation read ids a lane set lacks: it is not cellwise
-                first = 0
-            checked += first
-            items = item.instances(first)  # normally the first one already fails
+        if isinstance(item, (_Batch, _Drawn)):  # only from run_catalogue
+            passed, items = item.split(law)
+            checked += passed
         else:
             items = (item,)
         for operands in items:
@@ -499,12 +585,18 @@ def run_catalogue(
     """Check selected laws (default: all) over exhaustive plus random instances.
 
     Raises before any check: BoundsTooLarge if over budget, InvalidArgument if no source or a bad one."""
+    if isinstance(law_ids, str):  # would be read one character at a time
+        raise InvalidArgument(f"law ids must be a collection of ids, got the string {law_ids!r}")
     if law_ids is None:
         selected = catalogue()
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
-    if exhaustive is not None and len(exhaustive) != 2 or len(random_bounds) != 2 or random_count < 0:
-        raise InvalidArgument("pools and bounds must be (m, n) pairs, and the random count >= 0")
+    if exhaustive is not None and len(exhaustive) != 2 or len(random_bounds) != 2:
+        raise InvalidArgument("pools and bounds must be (m, n) pairs")
+    _require_ints(random_count=random_count, seed=seed,
+                  max_m=random_bounds[0], max_n=random_bounds[1])
+    if random_count < 0:
+        raise InvalidArgument(f"random count must be >= 0, got {random_count}")
     if random_count and min(random_bounds) < 1:
         raise InvalidArgument("size bounds must be positive")
     if exhaustive is None and random_count == 0:
@@ -521,6 +613,11 @@ def run_catalogue(
                 f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
             )
     pool = _Pool(*exhaustive) if exhaustive is not None else None
+    drawn: dict[str, _Drawn] = {}
+    if random_count:
+        for arity in dict.fromkeys(law.arity for law in selected):
+            drawn.update(_sweep((law for law in selected if law.arity == arity),
+                                random_tuples(seed, random_count, arity, *random_bounds)))
     reports = []
     for law in selected:
         sources = []
@@ -528,8 +625,6 @@ def run_catalogue(
             sources.append(pool.batches(law.arity) if law.lanes
                            else exhaustive_tuples(exhaustive[0], exhaustive[1], law.arity))
         if random_count:
-            sources.append(
-                random_tuples(seed, random_count, law.arity, *random_bounds)
-            )
+            sources.append((drawn[law.law_id],))
         reports.append(check_law(law.law_id, itertools.chain.from_iterable(sources)))
     return reports

@@ -22,13 +22,14 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
 def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:
     """Every ordered parameter pair: ``approve`` merges approving masks, ``reject`` rejecting ones."""
     ensure_same_space(a, b)
-    width = a.space.m * a.space.n
-    copies = a.space.cells_mask // a.space.full_mask  # bit 0 of every block
+    m, full = a.space.m, a.space.full_mask
+    width = m * a.space.n
+    copies = a.space.cells_mask // full  # bit 0 of every block
     pos = neg = 0
     # pair (k, l) is block k*n + l: row k is a's mask k copied into all n blocks, merged with b
-    for pa, na in zip(reversed(a.pos_masks), reversed(a.neg_masks)):
-        pos = pos << width | approve(pa * copies, b.pos_bits)
-        neg = neg << width | reject(na * copies, b.neg_bits)
+    for shift in range(width - m, -1, -m):  # a's mask k sits at bit k*m; last row first
+        pos = pos << width | approve((a.pos_bits >> shift & full) * copies, b.pos_bits)
+        neg = neg << width | reject((a.neg_bits >> shift & full) * copies, b.neg_bits)
     return BipolarSoftSet._closed(product_space(a.space), pos, neg)
 
 

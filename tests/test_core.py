@@ -247,9 +247,17 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(random_bounds=(6,)),
     lambda: run_catalogue(law_ids=["union-idempotent"], exhaustive=(2, 2), random_count=5,
                           random_bounds=(0, 4)),
+    lambda: run_catalogue(exhaustive=(2.0, 2), random_count=0),
+    lambda: run_catalogue(exhaustive=None, random_count=1.5),
+    lambda: run_catalogue(exhaustive=None, random_count=3, seed="x"),
+    lambda: run_catalogue(exhaustive=None, random_count=3, random_bounds=(2.5, 2)),
+    lambda: run_catalogue(law_ids="union-idempotent", exhaustive=(1, 1), random_count=0),
+    lambda: list(random_tuples(1, 3, 0)),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
-        "catalogue-pool", "catalogue-bounds", "catalogue-bound-size"])
+        "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
+        "catalogue-float-count", "catalogue-text-seed", "catalogue-float-bounds",
+        "catalogue-id-string", "random-arity"])
 def test_bad_arguments_raise_package_errors(call, monkeypatch):
     from bipolarsoft import laws
 

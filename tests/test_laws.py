@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from bipolarsoft import (
     run_catalogue,
 )
 from bipolarsoft.errors import BoundsTooLarge, InvalidArgument, UnknownLaw
+from bipolarsoft import laws as laws_module
 from bipolarsoft.laws import MAX_EXHAUSTIVE_CELLS
 
 import oracle
@@ -364,3 +366,98 @@ def test_an_operation_that_reads_ids_is_checked_one_instance_at_a_time(monkeypat
         laws = [law for law in catalogue() if law.lanes]
         for fast, scalar in _lane_and_scalar_reports(pool, laws):
             assert fast == scalar, (pool, fast.law_id)
+
+
+# -- the shared random source ---------------------------------------------------
+
+
+def _random_and_scalar_reports(laws, count, seed, bounds):
+    """Per law: run_catalogue's random-only report (the shared, chunked, lane-parallel
+    draw) and check_law's one-instance-at-a-time report on the same stream."""
+    for law in laws:
+        fast = run_catalogue(law_ids=[law.law_id], exhaustive=None, random_count=count,
+                             seed=seed, random_bounds=bounds)[0]
+        yield fast, check_law(law.law_id, random_tuples(seed, count, law.arity, *bounds))
+
+
+RANDOM_RUNS = [((1, 1), 1, 300), ((2, 1), 2, 300), ((3, 2), 3, 300), ((6, 4), 4, 300),
+               ((6, 4), 5, laws_module._CHUNK + 77), ((3, 2), 6, 2 * laws_module._CHUNK + 1)]
+
+
+@pytest.mark.parametrize("bounds, seed, count", RANDOM_RUNS,
+                         ids=[f"{m}x{n}-seed{s}-{c}" for (m, n), s, c in RANDOM_RUNS])
+def test_random_source_matches_the_scalar_check(bounds, seed, count):
+    scalar = []
+    for fast, expected in _random_and_scalar_reports(catalogue(), count, seed, bounds):
+        assert fast == expected, fast.law_id
+        scalar.append(expected)
+    # one run of every law shares one draw per arity and gives the same reports
+    assert run_catalogue(exhaustive=None, random_count=count, seed=seed,
+                         random_bounds=bounds) == scalar
+
+
+@pytest.mark.parametrize("op, fault", [
+    ("union", _union_rejecting_over_neutral),
+    ("intersection", _intersection_approving_under_neutral),
+], ids=["union", "intersection"])
+def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(op, fault, monkeypatch):
+    monkeypatch.setattr(BipolarSoftSet, op, fault)
+    monkeypatch.setattr(laws_module, "_CHUNK", 8)  # so that first failures lie in late chunks
+    failing = []
+    for bounds in [(1, 1), (2, 1), (3, 2), (6, 4)]:
+        for seed in (1, 2, 3):
+            for fast, scalar in _random_and_scalar_reports(catalogue(), 200, seed, bounds):
+                assert fast == scalar, (bounds, seed, fast.law_id)
+                if not fast.holds:
+                    assert recheck(fast)
+                    failing.append(fast)
+    assert any(report.instances_checked > 8 for report in failing if report.must_hold)
+    sizes = {(len(doc["universe"]), len(doc["pairs"]))
+             for report in failing for doc in report.counterexample["operands"]}
+    assert len(sizes) > 2  # first failures come from several size groups
+
+
+def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypatch):
+    union = BipolarSoftSet.union
+
+    def wrong_on_lanes(a, b):  # wrong on lane sets only, so every flag is a false alarm
+        joined = union(a, b)
+        if isinstance(a.space, laws_module._LaneSpace):
+            return BipolarSoftSet._closed(joined.space, joined.pos_bits ^ 1, joined.neg_bits & ~1)
+        return joined
+
+    monkeypatch.setattr(BipolarSoftSet, "union", wrong_on_lanes)
+    laws = [law for law in catalogue() if law.lanes]
+    for fast, scalar in _random_and_scalar_reports(laws, 150, 7, (3, 2)):
+        assert fast == scalar, fast.law_id
+
+
+def test_a_default_pass_draws_each_arity_once(monkeypatch):
+    calls = []
+    draw = laws_module.random_tuples
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(laws_module, "random_tuples", counted)
+    run_catalogue()
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_random_source_memory_does_not_grow_with_the_count():
+    laws = ["union-idempotent", "subset-reflexive"]  # lane-parallel and scalar; unary for speed
+
+    def peak(chunks):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_catalogue(law_ids=laws, exhaustive=None, random_count=chunks * laws_module._CHUNK)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    run_catalogue(law_ids=laws, exhaustive=None, random_count=100)  # build the spaces
+    tracemalloc.start()
+    try:
+        small, large = peak(2), peak(16)
+    finally:
+        tracemalloc.stop()
+    assert large < 1.5 * small, (small, large)
