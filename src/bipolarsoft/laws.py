@@ -7,24 +7,22 @@ laws are written out.  A law either holds on every supplied instance or
 the check stops at the first counterexample, which is stored in serialized
 form so the violation can be replayed later.
 
-``run_catalogue`` checks every lattice row (each equation without a product,
-and subset transitivity) lane-parallel: many instances of one size lie side
-by side along the parameter axis of one packed set, each lane holding one
-instance in ``m·n`` contiguous bits.  Union, intersection, complement, null
-and absolute act cell by cell, so one bigint operation evaluates a term on
-every lane.  The first failing lane is the lowest set bit of the cells where
-the sides differ (for transitivity, of a per-lane flag); the scalar
-evaluator then re-runs that instance, and goes on one instance at a time if
-it passes, so the count and witness are the scalar check's.
-
-In the exhaustive pool, lane ``t`` holds instance ``t`` of the
-``exhaustive_tuples`` order.  The random source is drawn once per arity and
-shared by every selected law of that arity.  It is consumed in chunks of
-``_CHUNK`` instances, so memory does not grow with the count.  A chunk is
-split by size ``(m, n)``, lane ``t`` of a size holding its ``t``-th
-instance, and a law's first failure is the lowest chunk index that any size
-flags.  The product De Morgan rows, the order rows and the conditional
-excluded-middle rows are checked one instance at a time on both sources.
+``run_catalogue`` checks each source with one sweep per arity, shared by every
+selected law of that arity and taken a chunk at a time: the exhaustive pool in
+one chunk per leading operand (if any), in ``exhaustive_tuples`` order, and the
+random draw in chunks of ``_CHUNK`` instances, so memory does not grow with the
+count.  The lattice rows (each equation without a product, and subset
+transitivity) run lane-parallel on a chunk: its instances of one size lie side
+by side along the parameter axis of packed sets, lane ``t`` holding one
+instance in ``m·n`` contiguous bits (a pool chunk copies its leading operand
+into every lane).  Union, intersection, complement, null and absolute act cell
+by cell, so one bigint operation evaluates a term on every lane.  A law's first
+failure in a chunk is the lowest instance that any size flags, by the lowest
+set bit of the cells where the sides differ (for transitivity, of a per-lane
+flag); the scalar evaluator then re-runs that instance, and goes on one
+instance at a time if it passes, so the count and witness are the scalar
+check's.  The product De Morgan rows, the order rows and the conditional
+excluded-middle rows iterate the same chunks one instance at a time.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
@@ -36,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
 from .core import BipolarSoftSet, _pack
@@ -132,9 +130,11 @@ def random_tuples(
 
 def _check_exhaustive(m: int, n: int, arity: int) -> None:
     """Decline an exhaustive pool whose ``arity``-tuples span more than 3^12 cases."""
-    _require_ints(m=m, n=n)
+    _require_ints(m=m, n=n, arity=arity)
     if m < 1 or n < 1:
         raise InvalidArgument("dimensions must be positive")
+    if arity < 1:
+        raise InvalidArgument(f"arity must be >= 1, got {arity}")
     if m * n * arity > MAX_EXHAUSTIVE_CELLS:
         raise BoundsTooLarge(
             f"3^{m * n * arity} exhaustive instances exceed the limit of 3^{MAX_EXHAUSTIVE_CELLS}"
@@ -381,44 +381,12 @@ class _LaneSpace:
         self.m, self.n, self.cells_mask = m, n, (1 << m * n) - 1
 
 
-def _first_lane(flags: int, width: int) -> int:
-    """The lane of the lowest set bit of the nonzero ``flags``."""
-    return ((flags & -flags).bit_length() - 1) // width
+class _Outcome(NamedTuple):
+    """One law on one source once ``_sweep`` has checked it: the count of instances before
+    the first failing one, and that instance's operands (one tuple) if one failed."""
 
-
-class _Batch:
-    """The exhaustive instances ``head + tail``, ``tail`` running over the ``k``-tuples
-    of the pool in ``exhaustive_tuples`` order; lane ``t`` of ``operands`` holds the t-th."""
-
-    __slots__ = ("pool", "head", "k", "operands")
-
-    def __init__(self, pool: "_Pool", head: tuple, k: int, operands: tuple) -> None:
-        self.pool, self.head, self.k, self.operands = pool, head, k, operands
-
-    def split(self, law: Law) -> tuple[int, Iterable[tuple[BipolarSoftSet, ...]]]:
-        """The count of instances before the first lane ``law.lanes`` flags, and the
-        instances from that lane on (normally the first one already fails)."""
-        width = self.pool.width
-        try:
-            flags = law.lanes(width, *self.operands)
-            first = _first_lane(flags, width) if flags else len(self.pool.sets) ** self.k
-        except AttributeError:  # an operation read ids a lane set lacks: it is not cellwise
-            first = 0
-        tails = itertools.product(self.pool.sets, repeat=self.k)
-        return first, (self.head + tail for tail in itertools.islice(tails, first, None))
-
-
-class _Drawn:
-    """A law's random source once ``_sweep`` has checked it: the count of instances
-    before the first failing one, and that instance's operands if one failed."""
-
-    __slots__ = ("passed", "failing")
-
-    def __init__(self, passed: int, failing: tuple = ()) -> None:
-        self.passed, self.failing = passed, failing
-
-    def split(self, law: Law) -> tuple[int, tuple]:
-        return self.passed, self.failing
+    passed: int
+    failing: tuple = ()
 
 
 _CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
@@ -441,38 +409,11 @@ def _size_groups(chunk: list[tuple]) -> list[tuple[list[int], int, tuple]]:
     return groups
 
 
-def _first_failing(law: Law, chunk: list[tuple], groups: list) -> Optional[int]:
-    """The index of the first instance in ``chunk`` that fails ``law``, or None.  The lanes
-    point at it and the scalar evaluator confirms it, going on one at a time if it passes."""
-    start = 0
-    if law.lanes is not None:
-        try:
-            start = min((indices[_first_lane(flags, width)] for indices, width, lane_sets in groups
-                         if (flags := law.lanes(width, *lane_sets))), default=len(chunk))
-        except AttributeError:  # an operation read ids a lane set lacks
-            start = 0
-    for i in range(start, len(chunk)):
-        if law.evaluate(*chunk[i]) is not None:
-            return i
-    return None
-
-
-def _sweep(laws: Iterable[Law], draw: Iterator[tuple]) -> dict[str, _Drawn]:
-    """Each law of one arity on one shared random ``draw``, a chunk at a time, until every
-    law has failed or the draw is spent."""
-    pending = list(laws)
-    outcomes: dict = {}
-    offset = 0  # instances drawn before this chunk
-    while pending and (chunk := list(itertools.islice(draw, _CHUNK))):
-        groups = _size_groups(chunk) if any(law.lanes for law in pending) else []
-        for law in pending:
-            i = _first_failing(law, chunk, groups)
-            if i is not None:
-                outcomes[law.law_id] = _Drawn(offset + i, (chunk[i],))
-        pending = [law for law in pending if law.law_id not in outcomes]
-        offset += len(chunk)
-    outcomes.update((law.law_id, _Drawn(offset)) for law in pending)
-    return outcomes
+def _drawn(draw: Iterator[tuple]) -> Iterator[tuple]:
+    """The random ``draw`` as ``_sweep`` chunks of ``_CHUNK`` instances, lanes packed by size."""
+    while chunk := list(itertools.islice(draw, _CHUNK)):
+        # bound as defaults: the next chunk rebinds the name
+        yield len(chunk), lambda start, c=chunk: c[start:], lambda c=chunk: _size_groups(c)
 
 
 def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
@@ -487,38 +428,81 @@ def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
             + [_pack((inner,) * len(values), block) for inner in _lanes_of(values, width, k - 1)])
 
 
-class _Pool:
-    """One exhaustive m-by-n pool as lane sets, built on first use and shared by the laws
-    of one ``run_catalogue`` call."""
+def _tail(pool: list[BipolarSoftSet], k: int) -> tuple[int, tuple[BipolarSoftSet, ...]]:
+    """Bit 0 of each of the N^k lanes, and k lane sets whose lane t holds the t-th k-tuple."""
+    m, n = pool[0].space.m, pool[0].space.n
+    space = _LaneSpace(m, n * len(pool) ** k)
+    pos = _lanes_of(tuple(s.pos_bits for s in pool), m * n, k)
+    neg = _lanes_of(tuple(s.neg_bits for s in pool), m * n, k)
+    return (space.cells_mask // ((1 << m * n) - 1),
+            tuple(BipolarSoftSet._closed(space, p, q) for p, q in zip(pos, neg)))
 
-    def __init__(self, m: int, n: int) -> None:
-        self.m, self.n, self.width = m, n, m * n
-        self._tails: dict = {}
 
-    @cached_property
-    def sets(self) -> list[BipolarSoftSet]:
-        return list(enumerate_bss(self.m, self.n))
+def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
+    """The ``arity``-tuples of an exhaustive ``pool`` in ``exhaustive_tuples`` order, as one
+    ``_sweep`` chunk per leading operand (if any): the last two operands in lanes, the leading
+    one copied into every lane of its chunk."""
+    k = min(arity, 2)
+    count, width = len(pool) ** k, pool[0].space.m * pool[0].space.n
+    ones, tail = _tail(pool, k)
+    space = tail[0].space
 
-    def _tail(self, k: int) -> tuple[int, tuple[BipolarSoftSet, ...]]:
-        """Bit 0 of each of the N^k lanes, and k lane sets whose lane t holds the t-th k-tuple."""
-        if k not in self._tails:
-            space = _LaneSpace(self.m, self.n * len(self.sets) ** k)
-            pos = _lanes_of(tuple(s.pos_bits for s in self.sets), self.width, k)
-            neg = _lanes_of(tuple(s.neg_bits for s in self.sets), self.width, k)
-            self._tails[k] = (space.cells_mask // ((1 << self.width) - 1),
-                              tuple(BipolarSoftSet._closed(space, p, q) for p, q in zip(pos, neg)))
-        return self._tails[k]
+    def instances(head: tuple, start: int) -> Iterator[tuple]:
+        # skip on the tails, so no tuple is built for an instance the lanes passed
+        rests = itertools.islice(itertools.product(pool, repeat=k), start, None)
+        return (head + rest for rest in rests)
 
-    def batches(self, arity: int) -> Iterator[_Batch]:
-        """The pool's ``arity``-tuples: the last two operands in lanes, the leading one
-        (if any) copied into every lane of one batch per value."""
-        k = min(arity, 2)
-        ones, tail = self._tail(k)
-        space = tail[0].space
-        for head in itertools.product(self.sets, repeat=arity - k):
-            spread = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
-                           for h in head)
-            yield _Batch(self, head, k, spread + tail)
+    def groups(head: tuple) -> list:
+        spread = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
+                       for h in head)
+        return [(range(count), width, spread + tail)]
+
+    for head in itertools.product(pool, repeat=arity - k):
+        yield count, partial(instances, head), partial(groups, head)
+
+
+def _first_lane(flags: int, width: int) -> int:
+    """The lane of the lowest set bit of the nonzero ``flags``."""
+    return ((flags & -flags).bit_length() - 1) // width
+
+
+def _first_failing(law: Law, groups: list, count: int,
+                   instances: Callable[[int], Iterable[tuple]]) -> Optional[tuple[int, tuple]]:
+    """The index and operands of the first of a chunk's ``count`` instances that fails
+    ``law``, or None.  The lanes point at it and the scalar evaluator confirms it, going on
+    one at a time if it passes."""
+    start = 0
+    if law.lanes is not None:
+        try:
+            start = min((indices[_first_lane(flags, width)] for indices, width, lane_sets in groups
+                         if (flags := law.lanes(width, *lane_sets))), default=count)
+        except AttributeError:  # an operation read ids a lane set lacks
+            start = 0
+    for i, operands in enumerate(instances(start), start):
+        if law.evaluate(*operands) is not None:
+            return i, operands
+    return None
+
+
+def _sweep(laws: list[Law], chunks: Iterator[tuple]) -> dict[str, _Outcome]:
+    """Each law of one arity on one shared source, a chunk at a time, until every law has
+    failed or the source is spent.  A chunk is ``(count, instances, groups)``:
+    ``instances(start)`` iterates its instances from index ``start`` on, and ``groups()``
+    packs them as lane groups ``(indices, width, lane_sets)``, lane ``t`` of a group
+    holding instance ``indices[t]``."""
+    pending = list(laws)
+    outcomes: dict = {}
+    offset = 0  # instances before this chunk
+    while pending and (chunk := next(chunks, None)) is not None:
+        count, instances, pack = chunk
+        groups = pack() if any(law.lanes for law in pending) else []
+        for law in pending:
+            if (failure := _first_failing(law, groups, count, instances)) is not None:
+                outcomes[law.law_id] = _Outcome(offset + failure[0], (failure[1],))
+        pending = [law for law in pending if law.law_id not in outcomes]
+        offset += count
+    outcomes.update((law.law_id, _Outcome(offset)) for law in pending)
+    return outcomes
 
 
 # -- checking -----------------------------------------------------------------
@@ -545,9 +529,9 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
     law = get_law(law_id)
     checked = 0
     for item in instances:
-        if isinstance(item, (_Batch, _Drawn)):  # only from run_catalogue
-            passed, items = item.split(law)
-            checked += passed
+        if isinstance(item, _Outcome):  # only from run_catalogue
+            checked += item.passed
+            items = item.failing
         else:
             items = (item,)
         for operands in items:
@@ -569,10 +553,11 @@ def recheck(report: LawReport) -> bool:
     if report.holds or not report.counterexample:
         return False
     law = get_law(report.law_id)
-    operands = tuple(
-        codec.from_document(doc) for doc in report.counterexample["operands"]
-    )
-    return law.evaluate(*operands) is not None
+    witness = report.counterexample
+    documents = witness.get("operands") if isinstance(witness, dict) else None
+    if not isinstance(documents, (list, tuple)) or len(documents) != law.arity:
+        raise InvalidArgument(f"a {report.law_id!r} witness needs {law.arity} operand document(s)")
+    return law.evaluate(*(codec.from_document(doc) for doc in documents)) is not None
 
 
 def run_catalogue(
@@ -591,7 +576,8 @@ def run_catalogue(
         selected = catalogue()
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
-    if exhaustive is not None and len(exhaustive) != 2 or len(random_bounds) != 2:
+    pairs = (random_bounds,) if exhaustive is None else (exhaustive, random_bounds)
+    if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairs):
         raise InvalidArgument("pools and bounds must be (m, n) pairs")
     _require_ints(random_count=random_count, seed=seed,
                   max_m=random_bounds[0], max_n=random_bounds[1])
@@ -612,19 +598,14 @@ def run_catalogue(
                 f"{random_count} random instances of up to {random_bounds[0]}x{random_bounds[1]}"
                 f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
             )
-    pool = _Pool(*exhaustive) if exhaustive is not None else None
-    drawn: dict[str, _Drawn] = {}
-    if random_count:
-        for arity in dict.fromkeys(law.arity for law in selected):
-            drawn.update(_sweep((law for law in selected if law.arity == arity),
-                                random_tuples(seed, random_count, arity, *random_bounds)))
-    reports = []
-    for law in selected:
-        sources = []
-        if pool is not None:
-            sources.append(pool.batches(law.arity) if law.lanes
-                           else exhaustive_tuples(exhaustive[0], exhaustive[1], law.arity))
+    pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
+    outcomes: dict[str, list[_Outcome]] = {law.law_id: [] for law in selected}
+    for arity in dict.fromkeys(law.arity for law in selected):
+        laws = [law for law in selected if law.arity == arity]
+        sources = [_pooled(pool, arity)] if pool is not None else []
         if random_count:
-            sources.append((drawn[law.law_id],))
-        reports.append(check_law(law.law_id, itertools.chain.from_iterable(sources)))
-    return reports
+            sources.append(_drawn(random_tuples(seed, random_count, arity, *random_bounds)))
+        for chunks in sources:
+            for law_id, outcome in _sweep(laws, chunks).items():
+                outcomes[law_id].append(outcome)
+    return [check_law(law.law_id, outcomes[law.law_id]) for law in selected]

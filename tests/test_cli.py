@@ -449,6 +449,7 @@ def test_check_laws_random_count_over_budget(capsys, monkeypatch):
         raise AssertionError("a law was checked although the random count is over budget")
 
     monkeypatch.setattr(laws, "check_law", reached)
+    monkeypatch.setattr(laws, "_sweep", reached)
     code, out, err = run_cli(capsys, "check-laws", "--random", "531442")
     assert code == 2
     assert out == ""
@@ -462,6 +463,7 @@ def test_check_laws_random_cells_over_budget(capsys, monkeypatch):
         raise AssertionError("a law was checked although the random instances are over budget")
 
     monkeypatch.setattr(laws, "check_law", reached)
+    monkeypatch.setattr(laws, "_sweep", reached)
     code, out, err = run_cli(capsys, "check-laws", "--law", "union-idempotent",
                              "--random", "1", "--bounds", "100000", "100000")
     assert code == 2

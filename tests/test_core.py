@@ -8,6 +8,7 @@ import pytest
 from bipolarsoft import (
     BipolarSoftSet,
     CellValue,
+    LawReport,
     ParameterSpace,
     and_product,
     check_law,
@@ -15,8 +16,10 @@ from bipolarsoft import (
     exhaustive_tuples,
     or_product,
     random_tuples,
+    recheck,
     run_catalogue,
     scores,
+    to_document,
     to_table,
 )
 from bipolarsoft.errors import (
@@ -253,11 +256,24 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(exhaustive=None, random_count=3, random_bounds=(2.5, 2)),
     lambda: run_catalogue(law_ids="union-idempotent", exhaustive=(1, 1), random_count=0),
     lambda: list(random_tuples(1, 3, 0)),
+    lambda: exhaustive_tuples(1, 1, 0),
+    lambda: exhaustive_tuples(1, 1, -1),
+    lambda: exhaustive_tuples(1, 1, "2"),
+    lambda: exhaustive_tuples(1, 1, 2.0),
+    lambda: recheck(LawReport("union-commutative", True, 1, False, {"foo": 1})),
+    lambda: recheck(LawReport("union-commutative", True, 1, False, {"operands": []})),
+    lambda: recheck(LawReport("union-commutative", True, 1, False,
+                              {"operands": [to_document(corpus.houses_a())]})),
+    lambda: run_catalogue(exhaustive=5),
+    lambda: run_catalogue(random_bounds=None),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
         "catalogue-float-count", "catalogue-text-seed", "catalogue-float-bounds",
-        "catalogue-id-string", "random-arity"])
+        "catalogue-id-string", "random-arity", "exhaustive-arity-zero",
+        "exhaustive-arity-negative", "exhaustive-arity-text", "exhaustive-arity-float",
+        "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
+        "catalogue-scalar-pool", "catalogue-no-bounds"])
 def test_bad_arguments_raise_package_errors(call, monkeypatch):
     from bipolarsoft import laws
 
@@ -265,6 +281,7 @@ def test_bad_arguments_raise_package_errors(call, monkeypatch):
         raise AssertionError("a law was checked although the arguments are bad")
 
     monkeypatch.setattr(laws, "check_law", reached)
+    monkeypatch.setattr(laws, "_sweep", reached)
     with pytest.raises(InvalidArgument) as err:
         call()
     assert isinstance(err.value, BipolarSoftError)

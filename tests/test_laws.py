@@ -290,6 +290,7 @@ def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
         raise AssertionError("a law was checked although no instance source was given")
 
     monkeypatch.setattr(laws, "check_law", reached)
+    monkeypatch.setattr(laws, "_sweep", reached)
     with pytest.raises(InvalidArgument):
         run_catalogue(exhaustive=None, random_count=0)
 
@@ -443,6 +444,19 @@ def test_a_default_pass_draws_each_arity_once(monkeypatch):
     monkeypatch.setattr(laws_module, "random_tuples", counted)
     run_catalogue()
     assert sorted(calls) == [1, 2, 3]
+
+
+def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
+    calls = []
+    enumerate_pool = laws_module.enumerate_bss
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_pool(*args, **kwargs)
+
+    monkeypatch.setattr(laws_module, "enumerate_bss", counted)
+    run_catalogue()
+    assert calls == [(2, 2)]
 
 
 def test_random_source_memory_does_not_grow_with_the_count():
