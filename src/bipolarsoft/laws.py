@@ -11,17 +11,21 @@ form so the violation can be replayed later.
 selected law of that arity and taken a chunk at a time: the exhaustive pool in
 one chunk per leading operand (if any), in ``exhaustive_tuples`` order, and the
 random draw in chunks of ``_CHUNK`` instances, so memory does not grow with the
-count.  The lattice rows (each equation without a product, and subset
-transitivity) run lane-parallel on a chunk: its instances of one size lie side
+count.  Every equation row, the product De Morgan rows included, and subset
+transitivity run lane-parallel on a chunk: its instances of one size lie side
 by side along the parameter axis of packed sets, lane ``t`` holding one
 instance in ``m·n`` contiguous bits (a pool chunk copies its leading operand
 into every lane).  Union, intersection, complement, null and absolute act cell
-by cell, so one bigint operation evaluates a term on every lane.  A law's first
-failure in a chunk is the lowest instance that any size flags, by the lowest
-set bit of the cells where the sides differ (for transitivity, of a per-lane
-flag); the scalar evaluator then re-runs that instance, and goes on one
-instance at a time if it passes, so the count and witness are the scalar
-check's.  The product De Morgan rows, the order rows and the conditional
+by cell, so one bigint operation evaluates a term on every lane.  A product
+reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for its cell
+``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
+bigint operations on every lane at once; the n rows are stacked one above the
+other, each as wide as all the lanes.  A law's first failure in a chunk is the
+lowest instance that any size flags, by the lowest set bit of the cells where
+the sides differ, ORed back onto the lanes one row at a time (for
+transitivity, of a per-lane flag); the scalar evaluator then re-runs that
+instance, and goes on one instance at a time if it passes, so the count and
+witness are the scalar check's.  Only the order rows and the conditional
 excluded-middle rows iterate the same chunks one instance at a time.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
@@ -227,12 +231,21 @@ Sides = Callable[..., tuple[BipolarSoftSet, BipolarSoftSet]]
 
 
 def _equation(law_id: str, arity: int, description: str, sides: Sides,
-              must_hold: bool = True, cellwise: bool = True) -> Law:
+              must_hold: bool = True) -> Law:
     """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``.
 
-    ``cellwise`` sides use only lattice operations, so they also run on lane sets."""
-    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)),
-               (lambda width, *x: _mismatch(*sides(*x))) if cellwise else None)
+    On lane sets a product's sides stack n rows, each as wide as the operands' lanes, so the
+    cells where the sides differ are folded back onto the lanes one row at a time."""
+
+    def lanes(width: int, *operands: BipolarSoftSet) -> int:
+        lane_cells = operands[0].space.cells_mask
+        stride, cells, flags = lane_cells.bit_length(), _mismatch(*sides(*operands)), 0
+        while cells:
+            flags |= cells & lane_cells
+            cells >>= stride
+        return flags
+
+    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)), lanes)
 
 
 def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
@@ -346,10 +359,10 @@ _LAWS = (
                             a.complement().union(b.complement()))),
     _equation("demorgan-and-product", 2, "complement of A ∧ B equals Aᶜ ∨ Bᶜ",
               lambda a, b: (and_product(a, b).complement(),
-                            or_product(a.complement(), b.complement())), cellwise=False),
+                            or_product(a.complement(), b.complement()))),
     _equation("demorgan-or-product", 2, "complement of A ∨ B equals Aᶜ ∧ Bᶜ",
               lambda a, b: (or_product(a, b).complement(),
-                            and_product(a.complement(), b.complement())), cellwise=False),
+                            and_product(a.complement(), b.complement()))),
     Law("excluded-middle-union", 1, True,
         "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
         "and is absolute precisely when A is complete",
@@ -372,13 +385,18 @@ _CATALOGUE = {law.law_id: law for law in _LAWS}
 
 
 class _LaneSpace:
-    """Sizes of a lane set, without ids, which a real space would build and check for
-    every lane.  Only lattice operations inside this module ever see it."""
+    """Sizes of a lane set of ``lanes`` m-by-n instances, without ids, which a real space
+    would build and check for every lane.  Only operations called inside this module ever
+    see it.  ``full_mask`` is block 0 of every lane, and ``_squared`` holds the n stacked
+    rows of a product; it has neither, so a product of a product raises AttributeError."""
 
-    __slots__ = ("m", "n", "cells_mask")
+    __slots__ = ("m", "n", "cells_mask", "full_mask", "_squared")
 
-    def __init__(self, m: int, n: int) -> None:
-        self.m, self.n, self.cells_mask = m, n, (1 << m * n) - 1
+    def __init__(self, m: int, n: int, lanes: int) -> None:
+        self.m, self.n, self.cells_mask = m, n, (1 << m * n * lanes) - 1
+        self.full_mask = self.cells_mask // ((1 << m * n) - 1) * ((1 << m) - 1)
+        self._squared = squared = object.__new__(_LaneSpace)
+        squared.m, squared.n, squared.cells_mask = m, n * n, (1 << m * n * lanes * n) - 1
 
 
 class _Outcome(NamedTuple):
@@ -400,7 +418,7 @@ def _size_groups(chunk: list[tuple]) -> list[tuple[list[int], int, tuple]]:
         by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(i)
     groups = []
     for (m, n), indices in by_size.items():
-        space, width = _LaneSpace(m, n * len(indices)), m * n
+        space, width = _LaneSpace(m, n, len(indices)), m * n
         columns = zip(*(chunk[i] for i in indices))
         groups.append((indices, width, tuple(
             BipolarSoftSet._closed(space, _pack(tuple(x.pos_bits for x in column), width),
@@ -431,7 +449,7 @@ def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
 def _tail(pool: list[BipolarSoftSet], k: int) -> tuple[int, tuple[BipolarSoftSet, ...]]:
     """Bit 0 of each of the N^k lanes, and k lane sets whose lane t holds the t-th k-tuple."""
     m, n = pool[0].space.m, pool[0].space.n
-    space = _LaneSpace(m, n * len(pool) ** k)
+    space = _LaneSpace(m, n, len(pool) ** k)
     pos = _lanes_of(tuple(s.pos_bits for s in pool), m * n, k)
     neg = _lanes_of(tuple(s.neg_bits for s in pool), m * n, k)
     return (space.cells_mask // ((1 << m * n) - 1),
@@ -476,7 +494,7 @@ def _first_failing(law: Law, groups: list, count: int,
         try:
             start = min((indices[_first_lane(flags, width)] for indices, width, lane_sets in groups
                          if (flags := law.lanes(width, *lane_sets))), default=count)
-        except AttributeError:  # an operation read ids a lane set lacks
+        except AttributeError:  # an operation read ids a lane set lacks, or nested a product
             start = 0
     for i, operands in enumerate(instances(start), start):
         if law.evaluate(*operands) is not None:
@@ -588,6 +606,7 @@ def run_catalogue(
     if exhaustive is None and random_count == 0:
         raise InvalidArgument("no instances to check: give an exhaustive pool or a random count")
     if exhaustive is not None:
+        _check_exhaustive(*exhaustive, 1)  # also when no law is selected
         for law in selected:
             _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)
     if random_count > 3 ** MAX_EXHAUSTIVE_CELLS:
@@ -598,14 +617,16 @@ def run_catalogue(
                 f"{random_count} random instances of up to {random_bounds[0]}x{random_bounds[1]}"
                 f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
             )
+    distinct = {law.law_id: law for law in selected}.values()  # a repeated id is swept once
     pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
-    outcomes: dict[str, list[_Outcome]] = {law.law_id: [] for law in selected}
-    for arity in dict.fromkeys(law.arity for law in selected):
-        laws = [law for law in selected if law.arity == arity]
+    outcomes: dict[str, list[_Outcome]] = {law.law_id: [] for law in distinct}
+    for arity in dict.fromkeys(law.arity for law in distinct):
+        laws = [law for law in distinct if law.arity == arity]
         sources = [_pooled(pool, arity)] if pool is not None else []
         if random_count:
             sources.append(_drawn(random_tuples(seed, random_count, arity, *random_bounds)))
         for chunks in sources:
             for law_id, outcome in _sweep(laws, chunks).items():
                 outcomes[law_id].append(outcome)
-    return [check_law(law.law_id, outcomes[law.law_id]) for law in selected]
+    reports = {law_id: check_law(law_id, found) for law_id, found in outcomes.items()}
+    return [reports[law.law_id] for law in selected]

@@ -20,16 +20,21 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
 
 
 def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:
-    """Every ordered parameter pair: ``approve`` merges approving masks, ``reject`` rejecting ones."""
+    """Every ordered parameter pair: ``approve`` merges approving masks, ``reject`` rejecting ones.
+
+    The operands' cells may also hold several m×n sets side by side, ``full_mask`` then
+    selecting block 0 of each: row k of the result holds row k of every set's product, and
+    the n rows are stacked, each as wide as all the operands' cells."""
     ensure_same_space(a, b)
     m, full = a.space.m, a.space.full_mask
-    width = m * a.space.n
-    copies = a.space.cells_mask // full  # bit 0 of every block
+    width = m * a.space.n  # one set's cells
+    copies = ((1 << width) - 1) // ((1 << m) - 1)  # bit 0 of every block of one set
+    stride = a.space.cells_mask.bit_length()  # all sets' cells: one row of the result
     pos = neg = 0
     # pair (k, l) is block k*n + l: row k is a's mask k copied into all n blocks, merged with b
     for shift in range(width - m, -1, -m):  # a's mask k sits at bit k*m; last row first
-        pos = pos << width | approve((a.pos_bits >> shift & full) * copies, b.pos_bits)
-        neg = neg << width | reject((a.neg_bits >> shift & full) * copies, b.neg_bits)
+        pos = pos << stride | approve((a.pos_bits >> shift & full) * copies, b.pos_bits)
+        neg = neg << stride | reject((a.neg_bits >> shift & full) * copies, b.neg_bits)
     return BipolarSoftSet._closed(product_space(a.space), pos, neg)
 
 

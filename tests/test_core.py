@@ -266,6 +266,8 @@ def test_only_public_constructions_validate(monkeypatch):
                               {"operands": [to_document(corpus.houses_a())]})),
     lambda: run_catalogue(exhaustive=5),
     lambda: run_catalogue(random_bounds=None),
+    lambda: run_catalogue(law_ids=[], exhaustive=(0, 1)),
+    lambda: run_catalogue(law_ids=[], exhaustive=("a", 1)),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
@@ -273,7 +275,8 @@ def test_only_public_constructions_validate(monkeypatch):
         "catalogue-id-string", "random-arity", "exhaustive-arity-zero",
         "exhaustive-arity-negative", "exhaustive-arity-text", "exhaustive-arity-float",
         "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
-        "catalogue-scalar-pool", "catalogue-no-bounds"])
+        "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",
+        "catalogue-empty-text-pool"])
 def test_bad_arguments_raise_package_errors(call, monkeypatch):
     from bipolarsoft import laws
 

@@ -6,18 +6,21 @@ import pytest
 
 from bipolarsoft import (
     BipolarSoftSet,
+    and_product,
     catalogue,
     check_law,
     enumerate_bss,
     exhaustive_tuples,
     gen_bss,
     get_law,
+    or_product,
     random_tuples,
     recheck,
     run_catalogue,
 )
 from bipolarsoft.errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from bipolarsoft import laws as laws_module
+from bipolarsoft.core import _pack
 from bipolarsoft.laws import MAX_EXHAUSTIVE_CELLS
 
 import oracle
@@ -296,7 +299,7 @@ def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
 
 
 # Exhaustive pools within the 3^12 budget for at least the unary laws; run_catalogue
-# checks the lattice rows on them lane-parallel, check_law one instance at a time.
+# checks the equation rows on them lane-parallel, check_law one instance at a time.
 POOLS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (1, 4), (4, 1)]
 
 
@@ -322,16 +325,41 @@ def _intersection_approving_under_neutral(a, b):  # neutral ∩ approve should s
     return BipolarSoftSet._closed(a.space, b.pos_bits & ~a.neg_bits, a.neg_bits | b.neg_bits)
 
 
-@pytest.mark.parametrize("op, fault, law_id, first_failure", [
-    ("union", _union_rejecting_over_neutral, "distributive-intersection-over-union", 13124),
-    ("intersection", _intersection_approving_under_neutral,
-     "distributive-union-over-intersection", 13204),
-], ids=["union", "intersection"])
+def _and_product_neutral_on_two_rejects(a, b):  # reject ∧ reject should reject
+    both = and_product(a, b)
+    return BipolarSoftSet._closed(both.space, both.pos_bits,
+                                  both.neg_bits & ~or_product(a, b).neg_bits)
+
+
+def _or_product_rejecting_on_two_neutrals(a, b):  # neutral ∨ neutral should stay neutral
+    either = or_product(a, b)
+    decided = either.pos_bits | and_product(a, b).neg_bits  # where a or b takes a side
+    return BipolarSoftSet._closed(either.space, either.pos_bits,
+                                  either.neg_bits | either.space.cells_mask & ~decided)
+
+
+# Each fault acts on each result cell alone: a product cell reads one cell of each operand.
+CELLWISE_FAULTS = [
+    (BipolarSoftSet, "union", _union_rejecting_over_neutral),
+    (BipolarSoftSet, "intersection", _intersection_approving_under_neutral),
+    (laws_module, "and_product", _and_product_neutral_on_two_rejects),
+    (laws_module, "or_product", _or_product_rejecting_on_two_neutrals),
+]
+FAULT_IDS = ["union", "intersection", "and-product", "or-product"]
+
+
+@pytest.mark.parametrize("fault, law_id, first_failure, past", [
+    (CELLWISE_FAULTS[0], "distributive-intersection-over-union", 13124, 81 ** 2),
+    (CELLWISE_FAULTS[1], "distributive-union-over-intersection", 13204, 81 ** 2),
+    (CELLWISE_FAULTS[2], "demorgan-and-product", 83, 81),
+    (CELLWISE_FAULTS[3], "demorgan-or-product", 165, 81),
+], ids=FAULT_IDS)
 def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
-        op, fault, law_id, first_failure, monkeypatch):
+        fault, law_id, first_failure, past, monkeypatch):
     # a fault that acts on each cell alone is seen in every lane, so the first failing
-    # lane is the first failing instance, even in a late batch
-    monkeypatch.setattr(BipolarSoftSet, op, fault)
+    # lane is the first failing instance, even in a late batch (past the first batch of
+    # 81² lanes for a ternary law, past the first operand's 81 pairs for a binary one)
+    monkeypatch.setattr(*fault)
     failed = 0
     for pool in POOLS:
         # the ternary laws that still hold cost seconds each on 4-cell pools
@@ -342,7 +370,7 @@ def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
             failed += not fast.holds
     assert failed > len(POOLS)
     report = run_catalogue(law_ids=[law_id], exhaustive=(2, 2), random_count=0)[0]
-    assert report.instances_checked == first_failure > 81 ** 2  # past the first batch
+    assert report.instances_checked == first_failure > past
     assert recheck(report)
 
 
@@ -353,6 +381,46 @@ def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
     report = run_catalogue(law_ids=["union-associative"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 3)
     assert len(calls) == 81 * 4  # four unions per batch of 81² triples
+
+
+def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
+    calls = []
+    product = laws_module.and_product
+    monkeypatch.setattr(laws_module, "and_product",
+                        lambda a, b: calls.append(1) or product(a, b))
+    report = run_catalogue(law_ids=["demorgan-and-product"], exhaustive=(2, 2),
+                           random_count=0)[0]
+    assert (report.holds, report.instances_checked) == (True, 81 ** 2)
+    assert len(calls) == 1  # one and-product on all 81² pairs
+
+
+def _rows(bits, stride, width, rows):
+    return [bits >> k * stride & (1 << width) - 1 for k in range(rows)]
+
+
+@pytest.mark.parametrize("m, n, count", [(1, 1, 1), (1, 1, 9), (2, 1, 5), (1, 3, 7),
+                                         (3, 2, 33), (2, 4, 12), (6, 4, 40)])
+def test_lane_products_are_the_products_of_their_lanes(m, n, count):
+    width = m * n
+    pairs = [operands for operands in random_tuples(m * 100 + n, 40 * count, 2, m, n)
+             if (operands[0].space.m, operands[0].space.n) == (m, n)][:count]
+    assert len(pairs) == count
+    space = laws_module._LaneSpace(m, n, count)
+    a, b = (BipolarSoftSet._closed(space, _pack(tuple(x.pos_bits for x in column), width),
+                                   _pack(tuple(x.neg_bits for x in column), width))
+            for column in zip(*pairs))
+    for product in (and_product, or_product):
+        lanes = product(a, b)
+        # row k holds row k of every lane's product, one row after another
+        for t, (x, y) in enumerate(pairs):
+            scalar = product(x, y)
+            for lane_bits, scalar_bits in ((lanes.pos_bits, scalar.pos_bits),
+                                           (lanes.neg_bits, scalar.neg_bits)):
+                assert _rows(lane_bits >> t * width, count * width, width, n) \
+                    == _rows(scalar_bits, width, width, n), (product.__name__, t)
+        assert lanes.pos_bits | lanes.neg_bits <= lanes.space.cells_mask
+        with pytest.raises(AttributeError):  # stacked rows have no product space
+            product(lanes, lanes)
 
 
 def test_an_operation_that_reads_ids_is_checked_one_instance_at_a_time(monkeypatch):
@@ -397,12 +465,9 @@ def test_random_source_matches_the_scalar_check(bounds, seed, count):
                          random_bounds=bounds) == scalar
 
 
-@pytest.mark.parametrize("op, fault", [
-    ("union", _union_rejecting_over_neutral),
-    ("intersection", _intersection_approving_under_neutral),
-], ids=["union", "intersection"])
-def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(op, fault, monkeypatch):
-    monkeypatch.setattr(BipolarSoftSet, op, fault)
+@pytest.mark.parametrize("fault", CELLWISE_FAULTS, ids=FAULT_IDS)
+def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, monkeypatch):
+    monkeypatch.setattr(*fault)
     monkeypatch.setattr(laws_module, "_CHUNK", 8)  # so that first failures lie in late chunks
     failing = []
     for bounds in [(1, 1), (2, 1), (3, 2), (6, 4)]:
@@ -457,6 +522,29 @@ def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
     monkeypatch.setattr(laws_module, "enumerate_bss", counted)
     run_catalogue()
     assert calls == [(2, 2)]
+
+
+def test_a_repeated_law_id_is_swept_once(monkeypatch):
+    calls = []
+    first_failing = laws_module._first_failing
+    monkeypatch.setattr(laws_module, "_first_failing",
+                        lambda *args: calls.append(1) or first_failing(*args))
+
+    def run(law_ids):
+        calls.clear()
+        return run_catalogue(law_ids=law_ids, exhaustive=(1, 2), random_count=50), len(calls)
+
+    single, once = run(["union-idempotent"])
+    double, twice = run(["union-idempotent"] * 2)
+    assert once == twice == 2  # one pool chunk and one random chunk
+    assert double == single * 2
+    mixed, _ = run(["union-idempotent", "union-commutative", "union-idempotent"])
+    assert mixed == [single[0], run(["union-commutative"])[0][0], single[0]]
+
+
+def test_an_empty_selection_still_takes_a_valid_pool():
+    assert run_catalogue(law_ids=[], exhaustive=(2, 2)) == []
+    assert run_catalogue(law_ids=[], exhaustive=None, random_count=5) == []
 
 
 def test_random_source_memory_does_not_grow_with_the_count():
