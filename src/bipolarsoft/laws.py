@@ -11,22 +11,27 @@ form so the violation can be replayed later.
 selected law of that arity and taken a chunk at a time: the exhaustive pool in
 one chunk per leading operand (if any), in ``exhaustive_tuples`` order, and the
 random draw in chunks of ``_CHUNK`` instances, so memory does not grow with the
-count.  Every equation row, the product De Morgan rows included, and subset
-transitivity run lane-parallel on a chunk: its instances of one size lie side
-by side along the parameter axis of packed sets, lane ``t`` holding one
-instance in ``m·n`` contiguous bits (a pool chunk copies its leading operand
-into every lane).  Union, intersection, complement, null and absolute act cell
-by cell, so one bigint operation evaluates a term on every lane.  A product
-reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for its cell
-``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
-bigint operations on every lane at once; the n rows are stacked one above the
-other, each as wide as all the lanes.  A law's first failure in a chunk is the
-lowest instance that any size flags, by the lowest set bit of the cells where
-the sides differ, ORed back onto the lanes one row at a time (for
-transitivity, of a per-lane flag); the scalar evaluator then re-runs that
-instance, and goes on one instance at a time if it passes, so the count and
-witness are the scalar check's.  Only the order rows and the conditional
-excluded-middle rows iterate the same chunks one instance at a time.
+count.  A chunk's instances of one size lie side by side along the parameter
+axis of packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous
+bits (a pool chunk copies its leading operand into every lane).  Union,
+intersection, complement, null and absolute act cell by cell, so one bigint
+operation evaluates a term on every lane.  A product reads cell ``(i, k)`` of
+one operand and ``(i, l)`` of the other for its cell ``(i, (k, l))``, so row
+``k`` of the and/or-product of two lane sets is a few bigint operations on
+every lane at once; the n rows are stacked one above the other, each as wide as
+all the lanes.
+
+A lane check only says whether every lane of a chunk passes.  An equation or
+order row runs its own evaluator on the lane sets: ``_differs`` finds no
+differing cell (or raises AttributeError, as naming a parameter needs ids), and
+``is_subset_of`` is the AND of the lanes.  Three rows' evaluators are not ANDs
+of lanes: subset transitivity is an implication, whose premises can fail in one
+lane while a chain breaks in another, so ``_broken_chains`` flags each lane; the two
+conditional excluded-middle rows end in an "absolute iff complete" biconditional
+over the whole set, so they have no lane check.  When a lane fails, the check
+raises AttributeError, or there is none, the scalar evaluator walks the chunk
+from its first instance to the first failure, so counts and witnesses are the
+scalar check's.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
@@ -172,8 +177,8 @@ class Law:
     must_hold: bool
     description: str
     evaluate: Callable[..., Violation]
-    # ``lanes(width, *lane_sets)``: an int whose lowest set bit lies in the first failing lane
-    lanes: Optional[Callable[..., int]] = None
+    # ``lanes(*lane_sets)``: falsy iff every lane passes; an equation or order row's evaluator
+    lanes: Optional[Callable[..., object]] = None
 
 
 @dataclass(frozen=True)
@@ -200,14 +205,9 @@ def _refute(reason: str) -> dict:
     return {"parameter": None, "reason": reason}
 
 
-def _mismatch(left: BipolarSoftSet, right: BipolarSoftSet) -> int:
-    """The cells where two sets differ."""
-    return (left.pos_bits ^ right.pos_bits) | (left.neg_bits ^ right.neg_bits)
-
-
 def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     """None if structurally equal, else the first divergent parameter's cells."""
-    if not _mismatch(left, right):
+    if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
         return None
     space = left.space
     for e, lp, ln, rp, rn in zip(
@@ -232,20 +232,12 @@ Sides = Callable[..., tuple[BipolarSoftSet, BipolarSoftSet]]
 
 def _equation(law_id: str, arity: int, description: str, sides: Sides,
               must_hold: bool = True) -> Law:
-    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``.
+    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``."""
 
-    On lane sets a product's sides stack n rows, each as wide as the operands' lanes, so the
-    cells where the sides differ are folded back onto the lanes one row at a time."""
+    def evaluate(*operands: BipolarSoftSet) -> Violation:
+        return _differs(*sides(*operands))
 
-    def lanes(width: int, *operands: BipolarSoftSet) -> int:
-        lane_cells = operands[0].space.cells_mask
-        stride, cells, flags = lane_cells.bit_length(), _mismatch(*sides(*operands)), 0
-        while cells:
-            flags |= cells & lane_cells
-            cells >>= stride
-        return flags
-
-    return Law(law_id, arity, must_hold, description, lambda *x: _differs(*sides(*x)), lanes)
+    return Law(law_id, arity, must_hold, description, evaluate, evaluate)
 
 
 def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
@@ -255,7 +247,7 @@ def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
         lower, upper = sides(a)
         return None if lower.is_subset_of(upper) else _refute(reason)
 
-    return Law(law_id, 1, True, description, evaluate)
+    return Law(law_id, 1, True, description, evaluate, evaluate)
 
 
 def _null(a: BipolarSoftSet) -> BipolarSoftSet:
@@ -272,8 +264,9 @@ def _subset_transitive(a, b, c) -> Violation:
     return None
 
 
-def _broken_chains(width: int, a, b, c) -> int:
+def _broken_chains(a, b, c) -> int:
     """Bit 0 of each lane where A ≤ B and B ≤ C hold but A ≤ C does not."""
+    width = a.space.m * a.space.n
     ones = a.space.cells_mask // ((1 << width) - 1)  # bit 0 of every lane
 
     def not_below(x, y):  # bit 0 of each lane with a cell where x ≤ y fails
@@ -410,20 +403,19 @@ class _Outcome(NamedTuple):
 _CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
 
 
-def _size_groups(chunk: list[tuple]) -> list[tuple[list[int], int, tuple]]:
-    """Per size in ``chunk``: the indices of its instances, its lane width ``m·n``, and
-    one lane set per operand position whose lane ``t`` holds the size's t-th instance."""
+def _size_groups(chunk: list[tuple]) -> list[tuple]:
+    """Per size in ``chunk``: one lane set per operand position, whose lane ``t`` holds
+    that operand of the size's t-th instance."""
     by_size: dict = {}
-    for i, operands in enumerate(chunk):
-        by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(i)
+    for operands in chunk:
+        by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(operands)
     groups = []
-    for (m, n), indices in by_size.items():
-        space, width = _LaneSpace(m, n, len(indices)), m * n
-        columns = zip(*(chunk[i] for i in indices))
-        groups.append((indices, width, tuple(
+    for (m, n), same_size in by_size.items():
+        space, width = _LaneSpace(m, n, len(same_size)), m * n
+        groups.append(tuple(
             BipolarSoftSet._closed(space, _pack(tuple(x.pos_bits for x in column), width),
                                    _pack(tuple(x.neg_bits for x in column), width))
-            for column in columns)))
+            for column in zip(*same_size)))
     return groups
 
 
@@ -431,7 +423,7 @@ def _drawn(draw: Iterator[tuple]) -> Iterator[tuple]:
     """The random ``draw`` as ``_sweep`` chunks of ``_CHUNK`` instances, lanes packed by size."""
     while chunk := list(itertools.islice(draw, _CHUNK)):
         # bound as defaults: the next chunk rebinds the name
-        yield len(chunk), lambda start, c=chunk: c[start:], lambda c=chunk: _size_groups(c)
+        yield len(chunk), lambda c=chunk: c, lambda c=chunk: _size_groups(c)
 
 
 def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
@@ -461,42 +453,32 @@ def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     ``_sweep`` chunk per leading operand (if any): the last two operands in lanes, the leading
     one copied into every lane of its chunk."""
     k = min(arity, 2)
-    count, width = len(pool) ** k, pool[0].space.m * pool[0].space.n
     ones, tail = _tail(pool, k)
     space = tail[0].space
 
-    def instances(head: tuple, start: int) -> Iterator[tuple]:
-        # skip on the tails, so no tuple is built for an instance the lanes passed
-        rests = itertools.islice(itertools.product(pool, repeat=k), start, None)
-        return (head + rest for rest in rests)
+    def instances(head: tuple) -> Iterator[tuple]:
+        return (head + rest for rest in itertools.product(pool, repeat=k))
 
     def groups(head: tuple) -> list:
-        spread = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
-                       for h in head)
-        return [(range(count), width, spread + tail)]
+        return [tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
+                      for h in head) + tail]
 
     for head in itertools.product(pool, repeat=arity - k):
-        yield count, partial(instances, head), partial(groups, head)
+        yield len(pool) ** k, partial(instances, head), partial(groups, head)
 
 
-def _first_lane(flags: int, width: int) -> int:
-    """The lane of the lowest set bit of the nonzero ``flags``."""
-    return ((flags & -flags).bit_length() - 1) // width
-
-
-def _first_failing(law: Law, groups: list, count: int,
-                   instances: Callable[[int], Iterable[tuple]]) -> Optional[tuple[int, tuple]]:
-    """The index and operands of the first of a chunk's ``count`` instances that fails
-    ``law``, or None.  The lanes point at it and the scalar evaluator confirms it, going on
-    one at a time if it passes."""
-    start = 0
+def _first_failing(law: Law, groups: list,
+                   instances: Callable[[], Iterable[tuple]]) -> Optional[tuple[int, tuple]]:
+    """The index and operands of the first of a chunk's instances that fails ``law``, or
+    None.  If every lane of every group passes, the chunk does; else the scalar evaluator
+    walks the chunk from its first instance."""
     if law.lanes is not None:
         try:
-            start = min((indices[_first_lane(flags, width)] for indices, width, lane_sets in groups
-                         if (flags := law.lanes(width, *lane_sets))), default=count)
-        except AttributeError:  # an operation read ids a lane set lacks, or nested a product
-            start = 0
-    for i, operands in enumerate(instances(start), start):
+            if not any(law.lanes(*lane_sets) for lane_sets in groups):
+                return None
+        except AttributeError:  # a witness or an operation read ids, or a product was nested
+            pass
+    for i, operands in enumerate(instances()):
         if law.evaluate(*operands) is not None:
             return i, operands
     return None
@@ -505,9 +487,9 @@ def _first_failing(law: Law, groups: list, count: int,
 def _sweep(laws: list[Law], chunks: Iterator[tuple]) -> dict[str, _Outcome]:
     """Each law of one arity on one shared source, a chunk at a time, until every law has
     failed or the source is spent.  A chunk is ``(count, instances, groups)``:
-    ``instances(start)`` iterates its instances from index ``start`` on, and ``groups()``
-    packs them as lane groups ``(indices, width, lane_sets)``, lane ``t`` of a group
-    holding instance ``indices[t]``."""
+    ``instances()`` iterates its ``count`` instances, and ``groups()`` packs them as lane
+    groups, each a tuple of one lane set per operand position.  A law's lanes only say
+    whether the whole chunk passes; ``_first_failing`` finds the failure."""
     pending = list(laws)
     outcomes: dict = {}
     offset = 0  # instances before this chunk
@@ -515,7 +497,7 @@ def _sweep(laws: list[Law], chunks: Iterator[tuple]) -> dict[str, _Outcome]:
         count, instances, pack = chunk
         groups = pack() if any(law.lanes for law in pending) else []
         for law in pending:
-            if (failure := _first_failing(law, groups, count, instances)) is not None:
+            if (failure := _first_failing(law, groups, instances)) is not None:
                 outcomes[law.law_id] = _Outcome(offset + failure[0], (failure[1],))
         pending = [law for law in pending if law.law_id not in outcomes]
         offset += count
@@ -534,7 +516,7 @@ def catalogue() -> tuple[Law, ...]:
 def get_law(law_id: str) -> Law:
     try:
         return _CATALOGUE[law_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnknownLaw(law_id) from None
 
 
@@ -588,10 +570,10 @@ def run_catalogue(
     """Check selected laws (default: all) over exhaustive plus random instances.
 
     Raises before any check: BoundsTooLarge if over budget, InvalidArgument if no source or a bad one."""
-    if isinstance(law_ids, str):  # would be read one character at a time
-        raise InvalidArgument(f"law ids must be a collection of ids, got the string {law_ids!r}")
     if law_ids is None:
         selected = catalogue()
+    elif isinstance(law_ids, str) or not isinstance(law_ids, Iterable):  # a str: one id per char
+        raise InvalidArgument(f"law ids must be a collection of ids, got {law_ids!r}")
     else:
         selected = tuple(get_law(law_id) for law_id in law_ids)
     pairs = (random_bounds,) if exhaustive is None else (exhaustive, random_bounds)

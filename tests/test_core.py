@@ -255,6 +255,7 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(exhaustive=None, random_count=3, seed="x"),
     lambda: run_catalogue(exhaustive=None, random_count=3, random_bounds=(2.5, 2)),
     lambda: run_catalogue(law_ids="union-idempotent", exhaustive=(1, 1), random_count=0),
+    lambda: run_catalogue(law_ids=5, exhaustive=(1, 1), random_count=0),
     lambda: list(random_tuples(1, 3, 0)),
     lambda: exhaustive_tuples(1, 1, 0),
     lambda: exhaustive_tuples(1, 1, -1),
@@ -272,7 +273,7 @@ def test_only_public_constructions_validate(monkeypatch):
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
         "catalogue-float-count", "catalogue-text-seed", "catalogue-float-bounds",
-        "catalogue-id-string", "random-arity", "exhaustive-arity-zero",
+        "catalogue-id-string", "catalogue-id-int", "random-arity", "exhaustive-arity-zero",
         "exhaustive-arity-negative", "exhaustive-arity-text", "exhaustive-arity-float",
         "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
         "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",

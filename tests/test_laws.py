@@ -284,6 +284,10 @@ def test_run_catalogue_random_only():
 def test_run_catalogue_rejects_unknown_law():
     with pytest.raises(UnknownLaw):
         run_catalogue(law_ids=["does-not-exist"], exhaustive=(1, 1), random_count=0)
+    with pytest.raises(UnknownLaw):
+        run_catalogue(law_ids=[["x"]], exhaustive=(1, 1), random_count=0)
+    with pytest.raises(UnknownLaw):
+        get_law(["x"])
 
 
 def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
@@ -299,7 +303,8 @@ def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
 
 
 # Exhaustive pools within the 3^12 budget for at least the unary laws; run_catalogue
-# checks the equation rows on them lane-parallel, check_law one instance at a time.
+# checks the equation and order rows and subset transitivity on them lane-parallel,
+# check_law one instance at a time.
 POOLS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (1, 4), (4, 1)]
 
 
@@ -338,14 +343,20 @@ def _or_product_rejecting_on_two_neutrals(a, b):  # neutral ∨ neutral should s
                                   either.neg_bits | either.space.cells_mask & ~decided)
 
 
-# Each fault acts on each result cell alone: a product cell reads one cell of each operand.
+def _subset_reading_approval_for_rejection(a, b):  # b's rejections must avoid a's approvals
+    return not (a.pos_bits & ~b.pos_bits or b.neg_bits & ~a.pos_bits)
+
+
+# Each fault acts on each result cell alone: a product cell reads one cell of each operand,
+# and the faulty order is the AND of a test on each cell.
 CELLWISE_FAULTS = [
     (BipolarSoftSet, "union", _union_rejecting_over_neutral),
     (BipolarSoftSet, "intersection", _intersection_approving_under_neutral),
     (laws_module, "and_product", _and_product_neutral_on_two_rejects),
     (laws_module, "or_product", _or_product_rejecting_on_two_neutrals),
+    (BipolarSoftSet, "is_subset_of", _subset_reading_approval_for_rejection),
 ]
-FAULT_IDS = ["union", "intersection", "and-product", "or-product"]
+FAULT_IDS = ["union", "intersection", "and-product", "or-product", "subset"]
 
 
 @pytest.mark.parametrize("fault, law_id, first_failure, past", [
@@ -353,12 +364,14 @@ FAULT_IDS = ["union", "intersection", "and-product", "or-product"]
     (CELLWISE_FAULTS[1], "distributive-union-over-intersection", 13204, 81 ** 2),
     (CELLWISE_FAULTS[2], "demorgan-and-product", 83, 81),
     (CELLWISE_FAULTS[3], "demorgan-or-product", 165, 81),
+    (CELLWISE_FAULTS[4], "subset-reflexive", 2, 1),
 ], ids=FAULT_IDS)
 def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
         fault, law_id, first_failure, past, monkeypatch):
-    # a fault that acts on each cell alone is seen in every lane, so the first failing
-    # lane is the first failing instance, even in a late batch (past the first batch of
-    # 81² lanes for a ternary law, past the first operand's 81 pairs for a binary one)
+    # a fault that acts on each cell alone is seen in every lane, so the lanes fail the
+    # chunk that holds the first failing instance and the scalar check finds it there, even
+    # in a late chunk (past the first batch of 81² lanes for a ternary law, past the first
+    # operand's 81 pairs for a binary one; a unary law's one chunk passes its first instance)
     monkeypatch.setattr(*fault)
     failed = 0
     for pool in POOLS:
@@ -392,6 +405,16 @@ def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
                            random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 2)
     assert len(calls) == 1  # one and-product on all 81² pairs
+
+
+def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
+    calls = []
+    is_subset_of = BipolarSoftSet.is_subset_of
+    monkeypatch.setattr(BipolarSoftSet, "is_subset_of",
+                        lambda a, b: calls.append(1) or is_subset_of(a, b))
+    report = run_catalogue(law_ids=["subset-reflexive"], exhaustive=(2, 2), random_count=0)[0]
+    assert (report.holds, report.instances_checked) == (True, 81)
+    assert len(calls) == 1  # one comparison of all 81 lanes
 
 
 def _rows(bits, stride, width, rows):
@@ -432,7 +455,7 @@ def test_an_operation_that_reads_ids_is_checked_one_instance_at_a_time(monkeypat
 
     monkeypatch.setattr(BipolarSoftSet, "union", lossy)
     for pool in [(1, 2), (2, 1), (1, 3)]:
-        laws = [law for law in catalogue() if law.lanes]
+        laws = [law for law in catalogue() if law.lanes]  # not the conditional excluded-middle rows
         for fast, scalar in _lane_and_scalar_reports(pool, laws):
             assert fast == scalar, (pool, fast.law_id)
 
@@ -465,8 +488,9 @@ def test_random_source_matches_the_scalar_check(bounds, seed, count):
                          random_bounds=bounds) == scalar
 
 
-@pytest.mark.parametrize("fault", CELLWISE_FAULTS, ids=FAULT_IDS)
-def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, monkeypatch):
+# The faulty order fails the first drawn instance with a rejecting cell, so in the first chunk.
+@pytest.mark.parametrize("fault, past", zip(CELLWISE_FAULTS, (8, 8, 8, 8, 0)), ids=FAULT_IDS)
+def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, past, monkeypatch):
     monkeypatch.setattr(*fault)
     monkeypatch.setattr(laws_module, "_CHUNK", 8)  # so that first failures lie in late chunks
     failing = []
@@ -477,7 +501,7 @@ def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, monk
                 if not fast.holds:
                     assert recheck(fast)
                     failing.append(fast)
-    assert any(report.instances_checked > 8 for report in failing if report.must_hold)
+    assert any(report.instances_checked > past for report in failing if report.must_hold)
     sizes = {(len(doc["universe"]), len(doc["pairs"]))
              for report in failing for doc in report.counterexample["operands"]}
     assert len(sizes) > 2  # first failures come from several size groups
@@ -493,7 +517,7 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
         return joined
 
     monkeypatch.setattr(BipolarSoftSet, "union", wrong_on_lanes)
-    laws = [law for law in catalogue() if law.lanes]
+    laws = [law for law in catalogue() if law.lanes]  # not the conditional excluded-middle rows
     for fast, scalar in _random_and_scalar_reports(laws, 150, 7, (3, 2)):
         assert fast == scalar, fast.law_id
 
@@ -548,7 +572,7 @@ def test_an_empty_selection_still_takes_a_valid_pool():
 
 
 def test_random_source_memory_does_not_grow_with_the_count():
-    laws = ["union-idempotent", "subset-reflexive"]  # lane-parallel and scalar; unary for speed
+    laws = ["union-idempotent", "excluded-middle-union"]  # lanes and one at a time; unary
 
     def peak(chunks):
         tracemalloc.reset_peak()
