@@ -21,17 +21,19 @@ one operand and ``(i, l)`` of the other for its cell ``(i, (k, l))``, so row
 every lane at once; the n rows are stacked one above the other, each as wide as
 all the lanes.
 
-A lane check only says whether every lane of a chunk passes.  An equation or
-order row runs its own evaluator on the lane sets: ``_differs`` finds no
-differing cell (or raises AttributeError, as naming a parameter needs ids), and
-``is_subset_of`` is the AND of the lanes.  Three rows' evaluators are not ANDs
-of lanes: subset transitivity is an implication, whose premises can fail in one
-lane while a chain breaks in another, so ``_broken_chains`` flags each lane; the two
-conditional excluded-middle rows end in an "absolute iff complete" biconditional
-over the whole set, so they have no lane check.  When a lane fails, the check
-raises AttributeError, or there is none, the scalar evaluator walks the chunk
-from its first instance to the first failure, so counts and witnesses are the
-scalar check's.
+A chunk passes a row when the row holds on every one-cell instance (the 3^arity
+tuples of sets over ``standard_space(1, 1)``, evaluated once per sweep) and its own
+evaluator, run on each lane group, returns None.  Run on lane sets, ``_differs`` finds
+no differing cell (or raises AttributeError, as naming a parameter needs ids) and
+``is_subset_of`` is the AND of the lanes, so an equation or order row fails a chunk
+with a failing lane.  An implication (subset transitivity) or a biconditional between
+whole-set predicates (the conditional excluded-middle rows' "absolute iff complete")
+run on lane sets is not the AND of its lanes, so the one-cell instances stand in for
+it: an m×n set is a direct product of m·n one-cell sets, and for operations that act
+on each cell alone such a row holds on every set once it holds on every one-cell
+instance (Birkhoff 1935).  When a chunk does not pass, or the check raises
+AttributeError, the scalar evaluator walks it from its first instance to the first
+failure, so counts and witnesses are the scalar check's.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle
 forms, which break on any instance with a neutral cell.  Their corrected
@@ -81,11 +83,16 @@ def _splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
+def standard_space(m: int, n: int) -> ParameterSpace:
+    """The generated m-object, n-pair space shared by all instances of one size."""
+    _require_ints(m=m, n=n)  # before the cache, which cannot hash a list
+    return _standard_space(m, n)
+
+
 # Enough for every size the default random bounds draw; a space keeps its product space,
 # so an unbounded cache would hold one per size ever drawn.
 @lru_cache(maxsize=64)
-def standard_space(m: int, n: int) -> ParameterSpace:
-    """The generated m-object, n-pair space shared by all instances of one size."""
+def _standard_space(m: int, n: int) -> ParameterSpace:
     return ParameterSpace(
         tuple(f"u{i}" for i in range(1, m + 1)),
         tuple(f"e{j}" for j in range(1, n + 1)),
@@ -177,8 +184,6 @@ class Law:
     must_hold: bool
     description: str
     evaluate: Callable[..., Violation]
-    # ``lanes(*lane_sets)``: falsy iff every lane passes; an equation or order row's evaluator
-    lanes: Optional[Callable[..., object]] = None
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def _equation(law_id: str, arity: int, description: str, sides: Sides,
     def evaluate(*operands: BipolarSoftSet) -> Violation:
         return _differs(*sides(*operands))
 
-    return Law(law_id, arity, must_hold, description, evaluate, evaluate)
+    return Law(law_id, arity, must_hold, description, evaluate)
 
 
 def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
@@ -247,7 +252,7 @@ def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
         lower, upper = sides(a)
         return None if lower.is_subset_of(upper) else _refute(reason)
 
-    return Law(law_id, 1, True, description, evaluate, evaluate)
+    return Law(law_id, 1, True, description, evaluate)
 
 
 def _null(a: BipolarSoftSet) -> BipolarSoftSet:
@@ -262,21 +267,6 @@ def _subset_transitive(a, b, c) -> Violation:
     if a.is_subset_of(b) and b.is_subset_of(c) and not a.is_subset_of(c):
         return _refute("chain premises hold but the conclusion fails")
     return None
-
-
-def _broken_chains(a, b, c) -> int:
-    """Bit 0 of each lane where A ≤ B and B ≤ C hold but A ≤ C does not."""
-    width = a.space.m * a.space.n
-    ones = a.space.cells_mask // ((1 << width) - 1)  # bit 0 of every lane
-
-    def not_below(x, y):  # bit 0 of each lane with a cell where x ≤ y fails
-        cells = x.pos_bits & ~y.pos_bits | y.neg_bits & ~x.neg_bits
-        flags = cells
-        for shift in range(1, width):
-            flags |= cells >> shift
-        return flags & ones
-
-    return not_below(a, c) & ~not_below(a, b) & ~not_below(b, c)
 
 
 def _excluded_middle(a: BipolarSoftSet, join: bool) -> Violation:
@@ -301,8 +291,7 @@ _LAWS = (
     _order("subset-reflexive", "A is a subset of itself",
            lambda a: (a, a), "A not a subset of itself"),
     Law("subset-transitive", 3, True,
-        "A subset of B and B subset of C implies A subset of C", _subset_transitive,
-        _broken_chains),
+        "A subset of B and B subset of C implies A subset of C", _subset_transitive),
     _order("subset-bounded-below", "the null set is a subset of everything",
            lambda a: (_null(a), a), "null not below A"),
     _order("subset-bounded-above", "everything is a subset of the absolute set",
@@ -422,8 +411,7 @@ def _size_groups(chunk: list[tuple]) -> list[tuple]:
 def _drawn(draw: Iterator[tuple]) -> Iterator[tuple]:
     """The random ``draw`` as ``_sweep`` chunks of ``_CHUNK`` instances, lanes packed by size."""
     while chunk := list(itertools.islice(draw, _CHUNK)):
-        # bound as defaults: the next chunk rebinds the name
-        yield len(chunk), lambda c=chunk: c, lambda c=chunk: _size_groups(c)
+        yield len(chunk), partial(iter, chunk), _size_groups(chunk)
 
 
 def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
@@ -459,25 +447,22 @@ def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     def instances(head: tuple) -> Iterator[tuple]:
         return (head + rest for rest in itertools.product(pool, repeat=k))
 
-    def groups(head: tuple) -> list:
-        return [tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
-                      for h in head) + tail]
-
     for head in itertools.product(pool, repeat=arity - k):
-        yield len(pool) ** k, partial(instances, head), partial(groups, head)
+        lanes = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
+                      for h in head)
+        yield len(pool) ** k, partial(instances, head), [lanes + tail]
 
 
-def _first_failing(law: Law, groups: list,
+def _first_failing(law: Law, one_cell: bool, groups: list,
                    instances: Callable[[], Iterable[tuple]]) -> Optional[tuple[int, tuple]]:
     """The index and operands of the first of a chunk's instances that fails ``law``, or
-    None.  If every lane of every group passes, the chunk does; else the scalar evaluator
-    walks the chunk from its first instance."""
-    if law.lanes is not None:
-        try:
-            if not any(law.lanes(*lane_sets) for lane_sets in groups):
-                return None
-        except AttributeError:  # a witness or an operation read ids, or a product was nested
-            pass
+    None.  The chunk passes if ``law`` holds on every one-cell instance (``one_cell``) and
+    on every lane group; else the scalar evaluator walks it from its first instance."""
+    try:
+        if one_cell and all(law.evaluate(*lane_sets) is None for lane_sets in groups):
+            return None
+    except AttributeError:  # a witness or an operation read ids, or a product was nested
+        pass
     for i, operands in enumerate(instances()):
         if law.evaluate(*operands) is not None:
             return i, operands
@@ -487,17 +472,22 @@ def _first_failing(law: Law, groups: list,
 def _sweep(laws: list[Law], chunks: Iterator[tuple]) -> dict[str, _Outcome]:
     """Each law of one arity on one shared source, a chunk at a time, until every law has
     failed or the source is spent.  A chunk is ``(count, instances, groups)``:
-    ``instances()`` iterates its ``count`` instances, and ``groups()`` packs them as lane
-    groups, each a tuple of one lane set per operand position.  A law's lanes only say
-    whether the whole chunk passes; ``_first_failing`` finds the failure."""
+    ``instances()`` iterates its ``count`` instances, and ``groups`` holds them packed as
+    lane groups, each a tuple of one lane set per operand position.  ``_first_failing`` says
+    whether the whole chunk passes and, if not, finds the failure."""
+    space = standard_space(1, 1)
+    cells = [BipolarSoftSet._closed(space, p, q) for p, q in ((1, 0), (0, 1), (0, 0))]
+    one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
+                                for operands in itertools.product(cells, repeat=law.arity))
+                for law in laws}
     pending = list(laws)
     outcomes: dict = {}
     offset = 0  # instances before this chunk
     while pending and (chunk := next(chunks, None)) is not None:
-        count, instances, pack = chunk
-        groups = pack() if any(law.lanes for law in pending) else []
+        count, instances, groups = chunk
         for law in pending:
-            if (failure := _first_failing(law, groups, instances)) is not None:
+            failure = _first_failing(law, one_cell[law.law_id], groups, instances)
+            if failure is not None:
                 outcomes[law.law_id] = _Outcome(offset + failure[0], (failure[1],))
         pending = [law for law in pending if law.law_id not in outcomes]
         offset += count

@@ -19,6 +19,7 @@ from bipolarsoft import (
     recheck,
     run_catalogue,
     scores,
+    standard_space,
     to_document,
     to_table,
 )
@@ -26,6 +27,7 @@ from bipolarsoft.errors import (
     BipolarSoftError,
     DisjointnessViolation,
     InvalidArgument,
+    InvalidSpace,
     SpaceMismatch,
     UnknownObject,
     UnknownParameter,
@@ -269,6 +271,8 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(random_bounds=None),
     lambda: run_catalogue(law_ids=[], exhaustive=(0, 1)),
     lambda: run_catalogue(law_ids=[], exhaustive=("a", 1)),
+    lambda: standard_space("a", 1),
+    lambda: standard_space([1], 1),
 ], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
@@ -277,7 +281,7 @@ def test_only_public_constructions_validate(monkeypatch):
         "exhaustive-arity-negative", "exhaustive-arity-text", "exhaustive-arity-float",
         "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
         "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",
-        "catalogue-empty-text-pool"])
+        "catalogue-empty-text-pool", "space-text-size", "space-list-size"])
 def test_bad_arguments_raise_package_errors(call, monkeypatch):
     from bipolarsoft import laws
 
@@ -290,6 +294,11 @@ def test_bad_arguments_raise_package_errors(call, monkeypatch):
         call()
     assert isinstance(err.value, BipolarSoftError)
     assert isinstance(err.value, ValueError)
+
+
+def test_standard_space_of_no_objects_is_an_invalid_space():
+    with pytest.raises(InvalidSpace):
+        standard_space(0, 1)
 
 
 def _seeded_set(space: ParameterSpace, seed: int) -> BipolarSoftSet:

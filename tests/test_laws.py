@@ -303,8 +303,10 @@ def test_run_catalogue_refuses_a_run_without_instances(monkeypatch):
 
 
 # Exhaustive pools within the 3^12 budget for at least the unary laws; run_catalogue
-# checks the equation and order rows and subset transitivity on them lane-parallel,
-# check_law one instance at a time.
+# checks every row on them lane-parallel, a chunk passing when the row holds on each
+# one-cell instance and on each lane group (the one-cell instances stand in for the
+# implication and biconditional rows, which lanes cannot judge); check_law checks one
+# instance at a time.
 POOLS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (1, 4), (4, 1)]
 
 
@@ -347,6 +349,10 @@ def _subset_reading_approval_for_rejection(a, b):  # b's rejections must avoid a
     return not (a.pos_bits & ~b.pos_bits or b.neg_bits & ~a.pos_bits)
 
 
+def _subset_not_transitive(a, b):  # only forbids a cell that a approves and b rejects
+    return not (a.pos_bits & b.neg_bits)
+
+
 # Each fault acts on each result cell alone: a product cell reads one cell of each operand,
 # and the faulty order is the AND of a test on each cell.
 CELLWISE_FAULTS = [
@@ -355,8 +361,9 @@ CELLWISE_FAULTS = [
     (laws_module, "and_product", _and_product_neutral_on_two_rejects),
     (laws_module, "or_product", _or_product_rejecting_on_two_neutrals),
     (BipolarSoftSet, "is_subset_of", _subset_reading_approval_for_rejection),
+    (BipolarSoftSet, "is_subset_of", _subset_not_transitive),
 ]
-FAULT_IDS = ["union", "intersection", "and-product", "or-product", "subset"]
+FAULT_IDS = ["union", "intersection", "and-product", "or-product", "subset", "not-transitive"]
 
 
 @pytest.mark.parametrize("fault, law_id, first_failure, past", [
@@ -365,19 +372,22 @@ FAULT_IDS = ["union", "intersection", "and-product", "or-product", "subset"]
     (CELLWISE_FAULTS[2], "demorgan-and-product", 83, 81),
     (CELLWISE_FAULTS[3], "demorgan-or-product", 165, 81),
     (CELLWISE_FAULTS[4], "subset-reflexive", 2, 1),
+    (CELLWISE_FAULTS[5], "subset-transitive", 164, 81),
 ], ids=FAULT_IDS)
 def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
         fault, law_id, first_failure, past, monkeypatch):
     # a fault that acts on each cell alone is seen in every lane, so the lanes fail the
     # chunk that holds the first failing instance and the scalar check finds it there, even
     # in a late chunk (past the first batch of 81² lanes for a ternary law, past the first
-    # operand's 81 pairs for a binary one; a unary law's one chunk passes its first instance)
+    # operand's 81 pairs for a binary one; a unary law's one chunk passes its first instance).
+    # Lanes cannot judge an implication, but the non-transitive order fails its one-cell
+    # instances, so every chunk is walked and the first holds the failure past 81 triples.
     monkeypatch.setattr(*fault)
     failed = 0
     for pool in POOLS:
         # the ternary laws that still hold cost seconds each on 4-cell pools
         laws = [law for law in catalogue()
-                if law.lanes and (pool[0] * pool[1] < 4 or law.arity < 3 or law.law_id == law_id)]
+                if pool[0] * pool[1] < 4 or law.arity < 3 or law.law_id == law_id]
         for fast, scalar in _lane_and_scalar_reports(pool, laws):
             assert fast == scalar, (pool, fast.law_id)
             failed += not fast.holds
@@ -393,7 +403,7 @@ def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
     monkeypatch.setattr(BipolarSoftSet, "union", lambda a, b: calls.append(1) or union(a, b))
     report = run_catalogue(law_ids=["union-associative"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 3)
-    assert len(calls) == 81 * 4  # four unions per batch of 81² triples
+    assert len(calls) == (81 + 3 ** 3) * 4  # four per batch of 81² triples and per one-cell triple
 
 
 def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
@@ -404,7 +414,7 @@ def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
     report = run_catalogue(law_ids=["demorgan-and-product"], exhaustive=(2, 2),
                            random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 2)
-    assert len(calls) == 1  # one and-product on all 81² pairs
+    assert len(calls) == 1 + 3 ** 2  # one on all 81² pairs, one per one-cell pair
 
 
 def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
@@ -414,7 +424,7 @@ def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
                         lambda a, b: calls.append(1) or is_subset_of(a, b))
     report = run_catalogue(law_ids=["subset-reflexive"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81)
-    assert len(calls) == 1  # one comparison of all 81 lanes
+    assert len(calls) == 1 + 3  # one comparison of all 81 lanes, one per one-cell set
 
 
 def _rows(bits, stride, width, rows):
@@ -455,8 +465,7 @@ def test_an_operation_that_reads_ids_is_checked_one_instance_at_a_time(monkeypat
 
     monkeypatch.setattr(BipolarSoftSet, "union", lossy)
     for pool in [(1, 2), (2, 1), (1, 3)]:
-        laws = [law for law in catalogue() if law.lanes]  # not the conditional excluded-middle rows
-        for fast, scalar in _lane_and_scalar_reports(pool, laws):
+        for fast, scalar in _lane_and_scalar_reports(pool, catalogue()):
             assert fast == scalar, (pool, fast.law_id)
 
 
@@ -488,8 +497,9 @@ def test_random_source_matches_the_scalar_check(bounds, seed, count):
                          random_bounds=bounds) == scalar
 
 
-# The faulty order fails the first drawn instance with a rejecting cell, so in the first chunk.
-@pytest.mark.parametrize("fault, past", zip(CELLWISE_FAULTS, (8, 8, 8, 8, 0)), ids=FAULT_IDS)
+# The faulty order that reads approval for rejection fails the first drawn instance with a
+# rejecting cell, so in the first chunk; a chain that breaks the non-transitive one is rarer.
+@pytest.mark.parametrize("fault, past", zip(CELLWISE_FAULTS, (8, 8, 8, 8, 0, 32)), ids=FAULT_IDS)
 def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, past, monkeypatch):
     monkeypatch.setattr(*fault)
     monkeypatch.setattr(laws_module, "_CHUNK", 8)  # so that first failures lie in late chunks
@@ -517,8 +527,7 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
         return joined
 
     monkeypatch.setattr(BipolarSoftSet, "union", wrong_on_lanes)
-    laws = [law for law in catalogue() if law.lanes]  # not the conditional excluded-middle rows
-    for fast, scalar in _random_and_scalar_reports(laws, 150, 7, (3, 2)):
+    for fast, scalar in _random_and_scalar_reports(catalogue(), 150, 7, (3, 2)):
         assert fast == scalar, fast.law_id
 
 
@@ -572,7 +581,7 @@ def test_an_empty_selection_still_takes_a_valid_pool():
 
 
 def test_random_source_memory_does_not_grow_with_the_count():
-    laws = ["union-idempotent", "excluded-middle-union"]  # lanes and one at a time; unary
+    laws = ["union-idempotent", "excluded-middle-union"]  # an equation and a biconditional
 
     def peak(chunks):
         tracemalloc.reset_peak()
