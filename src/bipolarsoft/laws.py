@@ -7,19 +7,19 @@ laws are written out.  A law either holds on every supplied instance or
 the check stops at the first counterexample, which is stored in serialized
 form so the violation can be replayed later.
 
-``run_catalogue`` checks each source with one sweep per arity, shared by every
-selected law of that arity and taken a chunk at a time: the exhaustive pool in
-one chunk per leading operand (if any), in ``exhaustive_tuples`` order, and the
-random draw in chunks of ``_CHUNK`` instances, so memory does not grow with the
-count.  A chunk's instances of one size lie side by side along the parameter
-axis of packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous
-bits (a pool chunk copies its leading operand into every lane).  Union,
-intersection, complement, null and absolute act cell by cell, so one bigint
-operation evaluates a term on every lane.  A product reads cell ``(i, k)`` of
-one operand and ``(i, l)`` of the other for its cell ``(i, (k, l))``, so row
-``k`` of the and/or-product of two lane sets is a few bigint operations on
-every lane at once; the n rows are stacked one above the other, each as wide as
-all the lanes.
+``run_catalogue`` checks the exhaustive pool with one sweep per arity, shared by its
+laws, in one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then the
+random draw with one sweep: every arity reads the one seeded stream from its start, the
+arity furthest back first, in chunks of ``_CHUNK`` instances packed from their cell
+states, so memory does not grow with the count; a chunk's sets are built only if a law
+walks it.  A chunk's instances of one size lie side by side along the parameter axis of
+packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits (a pool
+chunk copies its leading operand into every lane).  Union, intersection, complement,
+null and absolute act cell by cell, so one bigint operation evaluates a term on every
+lane.  A product reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for
+its cell ``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
+bigint operations on every lane at once; the n rows are stacked one above the other,
+each as wide as all the lanes.
 
 A chunk passes a row when the row holds on every one-cell instance (the 3^arity
 tuples of sets over ``standard_space(1, 1)``, evaluated once per sweep) and its own
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -100,21 +101,29 @@ def _standard_space(m: int, n: int) -> ParameterSpace:
     )
 
 
-def _cells(states: Iterable[int]) -> tuple[int, int]:
+_CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
+_BLOCK = 512  # stream values pulled at a time
+_POS, _NEG = bytes.maketrans(b"\0\1\2", b"100"), bytes.maketrans(b"\0\1\2", b"010")
+
+
+def _packed(states: bytes) -> tuple[int, int]:
     """Packed ``(pos, neg)`` ints from cell states in bit order: 0 approve, 1 reject, 2 neutral."""
-    p = q = 0
-    for j, s in enumerate(states):
-        if s == 0:
-            p |= 1 << j
-        elif s == 1:
-            q |= 1 << j
-    return p, q
+    states = states[::-1]  # int() reads the highest bit first
+    return int(states.translate(_POS), 2), int(states.translate(_NEG), 2)
 
 
-def _draw(space: ParameterSpace, stream: Iterator[int]) -> BipolarSoftSet:
-    # one stream value per cell, reduced to approve/reject/abstain
-    states = (next(stream) % 3 for _ in range(space.m * space.n))
-    return BipolarSoftSet._closed(space, *_cells(states))
+def _operands(space, cells: bytes, starts: list[int], arity: int) -> tuple[BipolarSoftSet, ...]:
+    """One set per operand position over ``space``: its lane ``t`` holds that operand of the
+    instance whose cells begin at ``starts[t]`` (with one lane, a real set)."""
+    width = space.m * space.n
+    columns = (b"".join([cells[at + i:at + i + width] for at in starts])
+               for i in range(0, arity * width, width))
+    return tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
+
+
+def _instances(arity: int, cells: bytes, layout: list) -> Iterator[tuple[BipolarSoftSet, ...]]:
+    """The operand tuples of one drawn chunk, each over its size's standard space."""
+    return (_operands(_standard_space(m, n), cells, [at], arity) for m, n, at in layout)
 
 
 def gen_bss(
@@ -136,12 +145,10 @@ def random_tuples(
         raise InvalidArgument(f"random count must be >= 0, got {count}")
     if arity < 1:
         raise InvalidArgument(f"arity must be >= 1, got {arity}")
-    stream = _splitmix64(seed)
-    for _ in range(count):
-        m = 1 + next(stream) % max_m
-        n = 1 + next(stream) % max_n
-        space = standard_space(m, n)
-        yield tuple(_draw(space, stream) for _ in range(arity))
+    if max_m * max_n * arity > MAX_RANDOM_CELLS:
+        raise BoundsTooLarge(f"{max_m}x{max_n}x{arity} cells exceed {MAX_RANDOM_CELLS} cells")
+    for _, (_, instances, _) in _drawn(seed, count, max_m, max_n, (arity,)):
+        yield from instances()
 
 
 def _check_exhaustive(m: int, n: int, arity: int) -> None:
@@ -163,7 +170,7 @@ def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
     space = standard_space(m, n)
     # bit order is parameter-major, so the last object of the last parameter varies fastest
     for states in itertools.product((0, 1, 2), repeat=m * n):
-        yield BipolarSoftSet._closed(space, *_cells(states))
+        yield BipolarSoftSet._closed(space, *_packed(bytes(states)))
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -370,15 +377,17 @@ class _LaneSpace:
     """Sizes of a lane set of ``lanes`` m-by-n instances, without ids, which a real space
     would build and check for every lane.  Only operations called inside this module ever
     see it.  ``full_mask`` is block 0 of every lane, and ``_squared`` holds the n stacked
-    rows of a product; it has neither, so a product of a product raises AttributeError."""
+    rows of a product; it has no ``full_mask``, so a product of a product raises
+    AttributeError.  ``cells_mask`` is built when read: a product's, n times as wide, seldom is."""
 
-    __slots__ = ("m", "n", "cells_mask", "full_mask", "_squared")
+    __slots__ = ("m", "n", "lanes", "full_mask", "_squared")
+    cells_mask = property(lambda self: (1 << self.m * self.n * self.lanes) - 1)
 
     def __init__(self, m: int, n: int, lanes: int) -> None:
-        self.m, self.n, self.cells_mask = m, n, (1 << m * n * lanes) - 1
+        self.m, self.n, self.lanes = m, n, lanes
         self.full_mask = self.cells_mask // ((1 << m * n) - 1) * ((1 << m) - 1)
         self._squared = squared = object.__new__(_LaneSpace)
-        squared.m, squared.n, squared.cells_mask = m, n * n, (1 << m * n * lanes * n) - 1
+        squared.m, squared.n, squared.lanes = m, n * n, lanes
 
 
 class _Outcome(NamedTuple):
@@ -389,29 +398,39 @@ class _Outcome(NamedTuple):
     failing: tuple = ()
 
 
-_CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
+def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
+    """``count`` instances of each arity while it is in ``arities``, as ``_sweep`` items of up
+    to ``_CHUNK`` instances: two stream values give an instance's size, then one per cell its
+    state (the value mod 3).  Lane groups are packed from the states; only ``instances()``
+    builds sets.  Values below the arity furthest back, which is served first, are dropped."""
+    stream = _splitmix64(seed)
+    modulus = max_m * max_n  # a value mod max_m·max_n still gives both size draws
+    block = min(_BLOCK, count * (2 + max(arities) * modulus))
+    sizing, states, base = array("B" if modulus <= 256 else "Q"), bytearray(), 0
+    cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
 
+    def fill(end: int) -> None:  # hold stream values ``base`` to ``base + end``, mod each
+        while len(sizing) < end:
+            values = list(itertools.islice(stream, block))
+            sizing.extend(map(modulus.__rmod__, values))
+            states.extend(map((3).__rmod__, values))
 
-def _size_groups(chunk: list[tuple]) -> list[tuple]:
-    """Per size in ``chunk``: one lane set per operand position, whose lane ``t`` holds
-    that operand of the size's t-th instance."""
-    by_size: dict = {}
-    for operands in chunk:
-        by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(operands)
-    groups = []
-    for (m, n), same_size in by_size.items():
-        space, width = _LaneSpace(m, n, len(same_size)), m * n
-        groups.append(tuple(
-            BipolarSoftSet._closed(space, _pack(tuple(x.pos_bits for x in column), width),
-                                   _pack(tuple(x.neg_bits for x in column), width))
-            for column in zip(*same_size)))
-    return groups
-
-
-def _drawn(draw: Iterator[tuple]) -> Iterator[tuple]:
-    """The random ``draw`` as ``_sweep`` chunks of ``_CHUNK`` instances, lanes packed by size."""
-    while chunk := list(itertools.islice(draw, _CHUNK)):
-        yield len(chunk), partial(iter, chunk), _size_groups(chunk)
+    while live := [a for a in cursors if a in arities and left[a]]:
+        arity = min(live, key=cursors.__getitem__)
+        del sizing[:cursors[arity] - base], states[:cursors[arity] - base]  # read by no arity
+        base, at, layout, sizes = cursors[arity], 0, [], {}
+        for _ in range(min(_CHUNK, left[arity])):
+            fill(at + 2)
+            m, n = 1 + sizing[at] % max_m, 1 + sizing[at + 1] % max_n
+            layout.append((m, n, at + 2))
+            sizes.setdefault((m, n), []).append(at + 2)
+            at += 2 + arity * m * n
+        fill(at)
+        cursors[arity], left[arity] = base + at, left[arity] - len(layout)
+        cells = bytes(states[:at])
+        groups = [_operands(_LaneSpace(m, n, len(starts)), cells, starts, arity)
+                  for (m, n), starts in sizes.items()]  # lane t: the size's t-th instance
+        yield arity, (len(layout), partial(_instances, arity, cells, layout), groups)
 
 
 def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
@@ -438,7 +457,7 @@ def _tail(pool: list[BipolarSoftSet], k: int) -> tuple[int, tuple[BipolarSoftSet
 
 def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     """The ``arity``-tuples of an exhaustive ``pool`` in ``exhaustive_tuples`` order, as one
-    ``_sweep`` chunk per leading operand (if any): the last two operands in lanes, the leading
+    ``_sweep`` item per leading operand (if any): the last two operands in lanes, the leading
     one copied into every lane of its chunk."""
     k = min(arity, 2)
     ones, tail = _tail(pool, k)
@@ -450,7 +469,7 @@ def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     for head in itertools.product(pool, repeat=arity - k):
         lanes = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
                       for h in head)
-        yield len(pool) ** k, partial(instances, head), [lanes + tail]
+        yield arity, (len(pool) ** k, partial(instances, head), [lanes + tail])
 
 
 def _first_failing(law: Law, one_cell: bool, groups: list,
@@ -469,29 +488,31 @@ def _first_failing(law: Law, one_cell: bool, groups: list,
     return None
 
 
-def _sweep(laws: list[Law], chunks: Iterator[tuple]) -> dict[str, _Outcome]:
-    """Each law of one arity on one shared source, a chunk at a time, until every law has
-    failed or the source is spent.  A chunk is ``(count, instances, groups)``:
-    ``instances()`` iterates its ``count`` instances, and ``groups`` holds them packed as
-    lane groups, each a tuple of one lane set per operand position.  ``_first_failing`` says
-    whether the whole chunk passes and, if not, finds the failure."""
+def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
+    """Each law in ``pending`` (laws by arity, left by each law that fails and each arity with
+    none left) on one shared source, a chunk at a time.  An item is ``(arity, (count,
+    instances, groups))``: ``instances()`` iterates the chunk's ``count`` instances, and
+    ``groups`` holds them packed, one lane set per operand position in each group.
+    ``_first_failing`` says whether the whole chunk passes and, if not, finds the failure."""
     space = standard_space(1, 1)
     cells = [BipolarSoftSet._closed(space, p, q) for p, q in ((1, 0), (0, 1), (0, 0))]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
                                 for operands in itertools.product(cells, repeat=law.arity))
-                for law in laws}
-    pending = list(laws)
+                for laws in pending.values() for law in laws}
     outcomes: dict = {}
-    offset = 0  # instances before this chunk
-    while pending and (chunk := next(chunks, None)) is not None:
-        count, instances, groups = chunk
-        for law in pending:
+    offsets = dict.fromkeys(pending, 0)  # per arity, the instances before its next chunk
+    while pending and (item := next(items, None)) is not None:
+        arity, (count, instances, groups) = item
+        for law in pending[arity]:
             failure = _first_failing(law, one_cell[law.law_id], groups, instances)
             if failure is not None:
-                outcomes[law.law_id] = _Outcome(offset + failure[0], (failure[1],))
-        pending = [law for law in pending if law.law_id not in outcomes]
-        offset += count
-    outcomes.update((law.law_id, _Outcome(offset)) for law in pending)
+                outcomes[law.law_id] = _Outcome(offsets[arity] + failure[0], (failure[1],))
+        offsets[arity] += count
+        pending[arity] = [law for law in pending[arity] if law.law_id not in outcomes]
+        if not pending[arity]:
+            del pending[arity]
+    outcomes.update((law.law_id, _Outcome(offsets[arity]))
+                    for arity, laws in pending.items() for law in laws)
     return outcomes
 
 
@@ -526,9 +547,10 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
             items = (item,)
         for operands in items:
             operands = operands if isinstance(operands, tuple) else (operands,)
-            if len(operands) != law.arity:
+            if len(operands) != law.arity or not all(isinstance(o, BipolarSoftSet) for o in operands):
+                kinds = ", ".join(type(o).__name__ for o in operands)
                 raise InvalidArgument(
-                    f"law {law_id!r} takes {law.arity} operand(s), got {len(operands)}")
+                    f"law {law_id!r} takes {law.arity} bipolar soft set(s), got ({kinds})")
             checked += 1
             violation = law.evaluate(*operands)
             if violation is not None:
@@ -591,14 +613,12 @@ def run_catalogue(
             )
     distinct = {law.law_id: law for law in selected}.values()  # a repeated id is swept once
     pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
-    outcomes: dict[str, list[_Outcome]] = {law.law_id: [] for law in distinct}
-    for arity in dict.fromkeys(law.arity for law in distinct):
-        laws = [law for law in distinct if law.arity == arity]
-        sources = [_pooled(pool, arity)] if pool is not None else []
-        if random_count:
-            sources.append(_drawn(random_tuples(seed, random_count, arity, *random_bounds)))
-        for chunks in sources:
-            for law_id, outcome in _sweep(laws, chunks).items():
-                outcomes[law_id].append(outcome)
-    reports = {law_id: check_law(law_id, found) for law_id, found in outcomes.items()}
+    by_arity = {arity: [law for law in distinct if law.arity == arity]
+                for arity in dict.fromkeys(law.arity for law in distinct)}
+    sweeps = [] if pool is None else [_sweep({arity: laws}, _pooled(pool, arity))
+                                      for arity, laws in by_arity.items()]
+    if random_count:  # after the pool, so each law's exhaustive outcome comes first
+        sweeps.append(_sweep(by_arity, _drawn(seed, random_count, *random_bounds, by_arity)))
+    reports = {law.law_id: check_law(law.law_id, [found[law.law_id] for found in sweeps
+                                                  if law.law_id in found]) for law in distinct}
     return [reports[law.law_id] for law in selected]

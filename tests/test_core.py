@@ -14,6 +14,7 @@ from bipolarsoft import (
     check_law,
     enumerate_bss,
     exhaustive_tuples,
+    gen_bss,
     or_product,
     random_tuples,
     recheck,
@@ -25,6 +26,7 @@ from bipolarsoft import (
 )
 from bipolarsoft.errors import (
     BipolarSoftError,
+    BoundsTooLarge,
     DisjointnessViolation,
     InvalidArgument,
     InvalidSpace,
@@ -235,7 +237,7 @@ def test_only_public_constructions_validate(monkeypatch):
     assert validated == []
 
 
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call, error", [(call, InvalidArgument) for call in [
     lambda: BipolarSoftSet(corpus.space4(), (0, 0), (0, 0)),
     lambda: BipolarSoftSet(corpus.space4(), (1 << 20, 0, 0, 0), (0, 0, 0, 0)),
     lambda: BipolarSoftSet(corpus.space4(), (-1, 0, 0, 0), (0, 0, 0, 0)),
@@ -273,7 +275,13 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: run_catalogue(law_ids=[], exhaustive=("a", 1)),
     lambda: standard_space("a", 1),
     lambda: standard_space([1], 1),
-], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
+    lambda: check_law("union-idempotent", iter([1])),
+    lambda: check_law("union-commutative", [(corpus.houses_a(), None)]),
+]] + [(call, BoundsTooLarge) for call in [
+    lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
+    lambda: gen_bss(1, 10 ** 6, 10 ** 6),
+    lambda: list(random_tuples(1, 1, 3, 3 ** 12 * 6, 5)),  # one cell per law over the budget
+]], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
         "catalogue-float-count", "catalogue-text-seed", "catalogue-float-bounds",
@@ -281,8 +289,9 @@ def test_only_public_constructions_validate(monkeypatch):
         "exhaustive-arity-negative", "exhaustive-arity-text", "exhaustive-arity-float",
         "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
         "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",
-        "catalogue-empty-text-pool", "space-text-size", "space-list-size"])
-def test_bad_arguments_raise_package_errors(call, monkeypatch):
+        "catalogue-empty-text-pool", "space-text-size", "space-list-size", "law-operand-int",
+        "law-operand-none", "random-bounds-budget", "gen-bounds-budget", "random-arity-budget"])
+def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws
 
     def reached(*args, **kwargs):
@@ -290,10 +299,11 @@ def test_bad_arguments_raise_package_errors(call, monkeypatch):
 
     monkeypatch.setattr(laws, "check_law", reached)
     monkeypatch.setattr(laws, "_sweep", reached)
-    with pytest.raises(InvalidArgument) as err:
+    monkeypatch.setattr(laws, "_splitmix64", reached)  # nor is a value drawn
+    with pytest.raises(error) as err:
         call()
     assert isinstance(err.value, BipolarSoftError)
-    assert isinstance(err.value, ValueError)
+    assert error is BoundsTooLarge or isinstance(err.value, ValueError)
 
 
 def test_standard_space_of_no_objects_is_an_invalid_space():

@@ -17,6 +17,7 @@ from bipolarsoft import (
     random_tuples,
     recheck,
     run_catalogue,
+    standard_space,
 )
 from bipolarsoft.errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from bipolarsoft import laws as laws_module
@@ -531,17 +532,77 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
         assert fast == scalar, fast.law_id
 
 
-def test_a_default_pass_draws_each_arity_once(monkeypatch):
-    calls = []
-    draw = laws_module.random_tuples
+def _counting_stream(monkeypatch):
+    """Patch the stream so that every value pulled from it is appended to the list returned."""
+    calls, pulled = [], []
+    stream = laws_module._splitmix64
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return draw(*args, **kwargs)
+    def counted(seed):
+        calls.append(seed)
+        for value in stream(seed):
+            pulled.append(value)
+            yield value
 
-    monkeypatch.setattr(laws_module, "random_tuples", counted)
+    monkeypatch.setattr(laws_module, "_splitmix64", counted)
+    return calls, pulled
+
+
+def _values_read(seed, count, arity, max_m, max_n):
+    """How many stream values ``count`` draws of ``arity`` operands read."""
+    values, read = laws_module._splitmix64(seed), 0
+    for _ in range(count):
+        m, n = 1 + next(values) % max_m, 1 + next(values) % max_n
+        read += 2 + arity * m * n
+        for _ in range(arity * m * n):
+            next(values)
+    return read
+
+
+def test_a_default_pass_draws_one_stream(monkeypatch):
+    needed = _values_read(1, 1000, 3, 6, 4)  # the ternary draw reads the most
+    calls, pulled = _counting_stream(monkeypatch)
     run_catalogue()
-    assert sorted(calls) == [1, 2, 3]
+    assert calls == [1]
+    assert needed <= len(pulled) <= needed + laws_module._BLOCK
+
+
+def test_an_arity_whose_laws_all_failed_is_drawn_no_further(monkeypatch):
+    count = 4 * laws_module._CHUNK
+    needed = _values_read(3, count, 2, 6, 4)  # the unary draw stops after its first chunk
+    _, pulled = _counting_stream(monkeypatch)
+    reports = run_catalogue(law_ids=["excluded-middle-unconditional", "union-commutative"],
+                            exhaustive=None, random_count=count, seed=3)
+    assert [report.holds for report in reports] == [False, True]
+    assert needed <= len(pulled) <= needed + laws_module._BLOCK
+
+
+def _reference_tuples(seed, count, arity, max_m, max_n):
+    """The draw one cell at a time: two stream values for the size, then one per cell."""
+    stream = laws_module._splitmix64(seed)
+    for _ in range(count):
+        m, n = 1 + next(stream) % max_m, 1 + next(stream) % max_n
+        operands = []
+        for _ in range(arity):
+            pos = neg = 0
+            for bit in range(m * n):
+                state = next(stream) % 3
+                if state == 0:
+                    pos |= 1 << bit
+                elif state == 1:
+                    neg |= 1 << bit
+            operands.append(BipolarSoftSet(standard_space(m, n), pos, neg))
+        yield tuple(operands)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 64 + 5])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+# 30x20: the size draws read values mod 600, which no longer fit in a byte
+@pytest.mark.parametrize("bounds", [(1, 1), (6, 4), (20, 12), (30, 20)],
+                         ids=["1x1", "6x4", "20x12", "30x20"])
+def test_random_tuples_match_the_cell_by_cell_draw(seed, arity, bounds, monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 64)  # so that 150 instances span three chunks
+    drawn = list(random_tuples(seed, 150, arity, *bounds))
+    assert drawn == list(_reference_tuples(seed, 150, arity, *bounds))
 
 
 def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
@@ -581,18 +642,19 @@ def test_an_empty_selection_still_takes_a_valid_pool():
 
 
 def test_random_source_memory_does_not_grow_with_the_count():
-    laws = ["union-idempotent", "excluded-middle-union"]  # an equation and a biconditional
-
-    def peak(chunks):
+    def peak(laws, chunks):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         run_catalogue(law_ids=laws, exhaustive=None, random_count=chunks * laws_module._CHUNK)
         return tracemalloc.get_traced_memory()[1] - base
 
-    run_catalogue(law_ids=laws, exhaustive=None, random_count=100)  # build the spaces
-    tracemalloc.start()
-    try:
-        small, large = peak(2), peak(16)
-    finally:
-        tracemalloc.stop()
-    assert large < 1.5 * small, (small, large)
+    # an equation and a biconditional; then one law of each arity, which share one stream
+    for laws in (["union-idempotent", "excluded-middle-union"],
+                 ["union-idempotent", "union-commutative", "union-associative"]):
+        run_catalogue(law_ids=laws, exhaustive=None, random_count=100)  # build the spaces
+        tracemalloc.start()
+        try:
+            small, large = peak(laws, 2), peak(laws, 16)
+        finally:
+            tracemalloc.stop()
+        assert large < 1.5 * small, (laws, small, large)
