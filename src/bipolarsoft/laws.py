@@ -12,8 +12,11 @@ laws, in one chunk per leading operand (if any) in ``exhaustive_tuples`` order, 
 random draw with one sweep: every arity reads the one seeded stream from its start, the
 arity furthest back first, in chunks of ``_CHUNK`` instances packed from their cell
 states, so memory does not grow with the count; a chunk's sets are built only if a law
-walks it.  A chunk's instances of one size lie side by side along the parameter axis of
-packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits (a pool
+walks it.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so
+``_splitmix_block`` computes a block at once, one value per 128-bit lane of an int: a lane
+times a 64-bit constant stays in its lane, and a mask drops what a right shift brings in
+from the next lane.  A chunk's instances of one size lie side by side along the parameter
+axis of packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits (a pool
 chunk copies its leading operand into every lane).  Union, intersection, complement,
 null and absolute act cell by cell, so one bigint operation evaluates a term on every
 lane.  A product reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -64,6 +68,7 @@ MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * math.prod(DEFAULT_RANDOM_BOUNDS) 
 # -- deterministic instance generation ---------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter step
 
 
 def _require_ints(**values: object) -> None:
@@ -73,15 +78,26 @@ def _require_ints(**values: object) -> None:
             raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
-def _splitmix64(seed: int) -> Iterator[int]:
-    """64-bit integer stream, fully determined by the single seed."""
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+@lru_cache(maxsize=16)
+def _lanes(size: int) -> tuple[int, int, int, int]:
+    """``size`` 128-bit lanes: bit 0 of each, (t + 1)·γ mod 2^64 in lane t, low 64 and 63 bits."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * size, "little")
+    ramp = b"".join((t * _GAMMA & _MASK64).to_bytes(16, "little") for t in range(1, size + 1))
+    return ones, int.from_bytes(ramp, "little"), ones * _MASK64, ones * (_MASK64 >> 1)
+
+
+def _splitmix_block(seed: int, first: int, size: int) -> tuple[array, bytes]:
+    """Values ``first`` to ``first + size`` of the seed's splitmix64 stream, and each mod 3."""
+    ones, ramp, low, low63 = _lanes(size)
+    z = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
+    z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
+    z = (z ^ z >> 31) & low
+    thirds = z * 0xAAAAAAAAAAAAAAAB >> 65 & low63  # ⌊z/3⌋ = ⌊z·⌈2^65/3⌉ / 2^65⌋ for z < 2^64
+    values = array("Q", z.to_bytes(16 * size, "little"))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values[::2], (z - 3 * thirds).to_bytes(16 * size, "little")[::16]
 
 
 def standard_space(m: int, n: int) -> ParameterSpace:
@@ -403,17 +419,15 @@ def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[t
     to ``_CHUNK`` instances: two stream values give an instance's size, then one per cell its
     state (the value mod 3).  Lane groups are packed from the states; only ``instances()``
     builds sets.  Values below the arity furthest back, which is served first, are dropped."""
-    stream = _splitmix64(seed)
-    modulus = max_m * max_n  # a value mod max_m·max_n still gives both size draws
-    block = min(_BLOCK, count * (2 + max(arities) * modulus))
-    sizing, states, base = array("B" if modulus <= 256 else "Q"), bytearray(), 0
+    block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
+    sizing, states, base = array("Q"), bytearray(), 0
     cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
 
-    def fill(end: int) -> None:  # hold stream values ``base`` to ``base + end``, mod each
+    def fill(end: int) -> None:  # hold stream values ``base`` to ``base + end``, and each mod 3
         while len(sizing) < end:
-            values = list(itertools.islice(stream, block))
-            sizing.extend(map(modulus.__rmod__, values))
-            states.extend(map((3).__rmod__, values))
+            values, residues = _splitmix_block(seed, base + len(sizing), block)
+            sizing.extend(values)
+            states.extend(residues)
 
     while live := [a for a in cursors if a in arities and left[a]]:
         arity = min(live, key=cursors.__getitem__)

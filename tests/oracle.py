@@ -2,10 +2,26 @@
 
 Everything here works on plain member-set maps of the shape
 ``{param: (approving_frozenset, rejecting_frozenset)}`` and never calls the
-operation it is used to check.
+operation it is used to check.  ``splitmix64`` is the random stream the law
+checker draws from, computed one value at a time.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int) -> Iterator[int]:
+    """The reference 64-bit stream, one value at a time, fully determined by the seed."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def member_view(bss) -> dict:

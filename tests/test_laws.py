@@ -3,6 +3,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bipolarsoft import (
     BipolarSoftSet,
@@ -533,23 +535,35 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
 
 
 def _counting_stream(monkeypatch):
-    """Patch the stream so that every value pulled from it is appended to the list returned."""
-    calls, pulled = [], []
-    stream = laws_module._splitmix64
+    """Patch the block draw so that every block computed is appended to the list returned,
+    as ``(seed, first, size)``."""
+    blocks = []
+    draw = laws_module._splitmix_block
 
-    def counted(seed):
-        calls.append(seed)
-        for value in stream(seed):
-            pulled.append(value)
-            yield value
+    def counted(seed, first, size):
+        blocks.append((seed, first, size))
+        return draw(seed, first, size)
 
-    monkeypatch.setattr(laws_module, "_splitmix64", counted)
-    return calls, pulled
+    monkeypatch.setattr(laws_module, "_splitmix_block", counted)
+    return blocks
+
+
+def _streams(blocks):
+    """The seed of each read of a stream from its start, and how many values ``blocks`` pulled.
+    Every other block must go on where the block before it ended."""
+    calls, end = [], 0
+    for seed, first, size in blocks:
+        if first == 0:
+            calls.append(seed)
+        else:
+            assert calls and (seed, first) == (calls[-1], end), "a block skips or repeats values"
+        end = first + size
+    return calls, sum(size for _, _, size in blocks)
 
 
 def _values_read(seed, count, arity, max_m, max_n):
     """How many stream values ``count`` draws of ``arity`` operands read."""
-    values, read = laws_module._splitmix64(seed), 0
+    values, read = oracle.splitmix64(seed), 0
     for _ in range(count):
         m, n = 1 + next(values) % max_m, 1 + next(values) % max_n
         read += 2 + arity * m * n
@@ -560,25 +574,27 @@ def _values_read(seed, count, arity, max_m, max_n):
 
 def test_a_default_pass_draws_one_stream(monkeypatch):
     needed = _values_read(1, 1000, 3, 6, 4)  # the ternary draw reads the most
-    calls, pulled = _counting_stream(monkeypatch)
+    blocks = _counting_stream(monkeypatch)
     run_catalogue()
+    calls, pulled = _streams(blocks)
     assert calls == [1]
-    assert needed <= len(pulled) <= needed + laws_module._BLOCK
+    assert needed <= pulled <= needed + laws_module._BLOCK
 
 
 def test_an_arity_whose_laws_all_failed_is_drawn_no_further(monkeypatch):
     count = 4 * laws_module._CHUNK
     needed = _values_read(3, count, 2, 6, 4)  # the unary draw stops after its first chunk
-    _, pulled = _counting_stream(monkeypatch)
+    blocks = _counting_stream(monkeypatch)
     reports = run_catalogue(law_ids=["excluded-middle-unconditional", "union-commutative"],
                             exhaustive=None, random_count=count, seed=3)
     assert [report.holds for report in reports] == [False, True]
-    assert needed <= len(pulled) <= needed + laws_module._BLOCK
+    _, pulled = _streams(blocks)
+    assert needed <= pulled <= needed + laws_module._BLOCK
 
 
 def _reference_tuples(seed, count, arity, max_m, max_n):
     """The draw one cell at a time: two stream values for the size, then one per cell."""
-    stream = laws_module._splitmix64(seed)
+    stream = oracle.splitmix64(seed)
     for _ in range(count):
         m, n = 1 + next(stream) % max_m, 1 + next(stream) % max_n
         operands = []
@@ -596,13 +612,45 @@ def _reference_tuples(seed, count, arity, max_m, max_n):
 
 @pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 64 + 5])
 @pytest.mark.parametrize("arity", [1, 2, 3])
-# 30x20: the size draws read values mod 600, which no longer fit in a byte
+# 30x20: sizes up to 600 cells, each drawn from a value mod 30 and a value mod 20
 @pytest.mark.parametrize("bounds", [(1, 1), (6, 4), (20, 12), (30, 20)],
                          ids=["1x1", "6x4", "20x12", "30x20"])
 def test_random_tuples_match_the_cell_by_cell_draw(seed, arity, bounds, monkeypatch):
     monkeypatch.setattr(laws_module, "_CHUNK", 64)  # so that 150 instances span three chunks
     drawn = list(random_tuples(seed, 150, arity, *bounds))
     assert drawn == list(_reference_tuples(seed, 150, arity, *bounds))
+
+
+GAMMA = 0x9E3779B97F4A7C15  # the stream's counter step: value i is mix(seed + (i + 1)·GAMMA)
+# 1, 3 and 26 values: gen_bss and small counts ask for these; 74 = 2 + 3·24: a count of 1
+BLOCK_SIZES = [1, 3, 26, 74, laws_module._BLOCK]
+
+
+def _assert_block_is_the_reference(seed, first, size):
+    values, residues = laws_module._splitmix_block(seed, first, size)
+    expected = list(itertools.islice(oracle.splitmix64(seed), first, first + size))
+    assert list(values) == expected  # the size draws read these values mod max_m and max_n
+    assert list(residues) == [value % 3 for value in expected]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5])
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_block_of_the_stream_is_the_reference_stream(seed, size):
+    # a block whose first counter, seed + (first + 1)·GAMMA, wraps past 2^64
+    wraps = next(first for first in itertools.count(1)
+                 if (seed + first * GAMMA) % 2 ** 64 + GAMMA >= 2 ** 64)
+    for first in (0, size, wraps):
+        _assert_block_is_the_reference(seed, first, size)
+
+
+@given(st.integers(), st.integers(0, 3000), st.sampled_from(BLOCK_SIZES))
+def test_blocks_of_any_seed_are_the_reference_stream(seed, first, size):
+    _assert_block_is_the_reference(seed, first, size)
+
+
+def test_seeds_equal_mod_2_to_the_64_give_the_same_run():
+    assert (run_catalogue(exhaustive=None, seed=-1)
+            == run_catalogue(exhaustive=None, seed=2 ** 64 - 1))
 
 
 def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
