@@ -86,7 +86,10 @@ class BipolarSoftSet:
         for e, pair in assignment.items():
             if e not in index:
                 raise UnknownParameter(e)
-            approving, rejecting = pair
+            try:
+                approving, rejecting = pair
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise InvalidArgument(f"parameter {e!r}: not an (approving, rejecting) pair") from None
             k = index[e]
             pos[k] = space.mask_of(approving)
             neg[k] = space.mask_of(rejecting)
@@ -119,7 +122,7 @@ class BipolarSoftSet:
     def _offset(self, param: str) -> int:
         try:
             return self.space.param_index[param] * self.space.m
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownParameter(param) from None
 
     def pos(self, param: str) -> tuple[str, ...]:

@@ -10,19 +10,20 @@ form so the violation can be replayed later.
 ``run_catalogue`` checks the exhaustive pool with one sweep per arity, shared by its
 laws, in one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then the
 random draw with one sweep: every arity reads the one seeded stream from its start, the
-arity furthest back first, in chunks of ``_CHUNK`` instances packed from their cell
-states, so memory does not grow with the count; a chunk's sets are built only if a law
-walks it.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so
-``_splitmix_block`` computes a block at once, one value per 128-bit lane of an int: a lane
-times a 64-bit constant stays in its lane, and a mask drops what a right shift brings in
-from the next lane.  A chunk's instances of one size lie side by side along the parameter
-axis of packed lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits (a pool
-chunk copies its leading operand into every lane).  Union, intersection, complement,
-null and absolute act cell by cell, so one bigint operation evaluates a term on every
-lane.  A product reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for
-its cell ``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
-bigint operations on every lane at once; the n rows are stacked one above the other,
-each as wide as all the lanes.
+arity furthest back first, in chunks of ``_CHUNK`` instances, so memory does not grow
+with the count; a chunk's sets are built only if a law walks it.  Both sources pack lanes
+from cell states with ``_packed``: the pool's last two operands from ``_states``, a drawn
+chunk from its stream values mod 3.  The stream is splitmix64, whose value i is
+mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes a block at once, one value
+per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a mask
+drops what a right shift brings in from the next lane.  A chunk's instances of one size
+lie side by side along the parameter axis of packed lane sets, lane ``t`` holding one
+instance in ``m·n`` contiguous bits (a pool chunk still copies its leading operand into
+every lane).  Union, intersection, complement, null and absolute act cell by cell, so one
+bigint operation evaluates a term on every lane.  A product reads cell ``(i, k)`` of one
+operand and ``(i, l)`` of the other for its cell ``(i, (k, l))``, so row ``k`` of the
+and/or-product of two lane sets is a few bigint operations on every lane at once; the n
+rows are stacked one above the other, each as wide as all the lanes.
 
 A chunk passes a row when the row holds on every one-cell instance (the 3^arity
 tuples of sets over ``standard_space(1, 1)``, evaluated once per sweep) and its own
@@ -54,7 +55,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
-from .core import BipolarSoftSet, _pack
+from .core import BipolarSoftSet
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
@@ -180,13 +181,18 @@ def _check_exhaustive(m: int, n: int, arity: int) -> None:
         )
 
 
+def _states(cells: int) -> Iterator[bytes]:
+    """The 3^cells cell-state strings of ``cells`` cells, in enumeration order.  Bit order
+    is parameter-major, so the last object of the last parameter varies fastest."""
+    return map(bytes, itertools.product(b"\0\1\2", repeat=cells))
+
+
 def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
     """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once."""
     _check_exhaustive(m, n, 1)
     space = standard_space(m, n)
-    # bit order is parameter-major, so the last object of the last parameter varies fastest
-    for states in itertools.product((0, 1, 2), repeat=m * n):
-        yield BipolarSoftSet._closed(space, *_packed(bytes(states)))
+    for states in _states(m * n):
+        yield BipolarSoftSet._closed(space, *_packed(states))
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -447,35 +453,16 @@ def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[t
         yield arity, (len(layout), partial(_instances, arity, cells, layout), groups)
 
 
-def _lanes_of(values: tuple[int, ...], width: int, k: int) -> list[int]:
-    """For each position of a k-tuple, the ints ``values`` take there in every one of the
-    ``itertools.product(values, repeat=k)`` tuples, one tuple per ``width``-bit lane."""
-    if k == 0:
-        return []
-    lanes = len(values) ** (k - 1)  # the tuples that share a first value
-    ones = _pack((1,) * lanes, width)
-    block = lanes * width
-    return ([_pack(tuple(v * ones for v in values), block)]
-            + [_pack((inner,) * len(values), block) for inner in _lanes_of(values, width, k - 1)])
-
-
-def _tail(pool: list[BipolarSoftSet], k: int) -> tuple[int, tuple[BipolarSoftSet, ...]]:
-    """Bit 0 of each of the N^k lanes, and k lane sets whose lane t holds the t-th k-tuple."""
-    m, n = pool[0].space.m, pool[0].space.n
-    space = _LaneSpace(m, n, len(pool) ** k)
-    pos = _lanes_of(tuple(s.pos_bits for s in pool), m * n, k)
-    neg = _lanes_of(tuple(s.neg_bits for s in pool), m * n, k)
-    return (space.cells_mask // ((1 << m * n) - 1),
-            tuple(BipolarSoftSet._closed(space, p, q) for p, q in zip(pos, neg)))
-
-
 def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
-    """The ``arity``-tuples of an exhaustive ``pool`` in ``exhaustive_tuples`` order, as one
-    ``_sweep`` item per leading operand (if any): the last two operands in lanes, the leading
-    one copied into every lane of its chunk."""
-    k = min(arity, 2)
-    ones, tail = _tail(pool, k)
-    space = tail[0].space
+    """The ``arity``-tuples of the ``enumerate_bss`` pool in ``exhaustive_tuples`` order, as
+    one ``_sweep`` item per leading operand (if any): the last two operands packed from their
+    cell states, lane t holding their t-th tuple, and the leading one multiplied into every
+    lane of its chunk, which costs far less than packing a chunk-wide operand from bytes."""
+    k, size, (m, n) = min(arity, 2), len(pool), (pool[0].space.m, pool[0].space.n)
+    space, states = _LaneSpace(m, n, size ** k), list(_states(m * n))
+    ones = space.cells_mask // ((1 << m * n) - 1)  # bit 0 of every lane
+    tail = tuple(BipolarSoftSet._closed(space, *_packed(
+        b"".join(s * size ** (k - 1 - j) for s in states) * size ** j)) for j in range(k))
 
     def instances(head: tuple) -> Iterator[tuple]:
         return (head + rest for rest in itertools.product(pool, repeat=k))
@@ -483,7 +470,7 @@ def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     for head in itertools.product(pool, repeat=arity - k):
         lanes = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
                       for h in head)
-        yield arity, (len(pool) ** k, partial(instances, head), [lanes + tail])
+        yield arity, (space.lanes, partial(instances, head), [lanes + tail])
 
 
 def _first_failing(law: Law, one_cell: bool, groups: list,
@@ -509,7 +496,7 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     ``groups`` holds them packed, one lane set per operand position in each group.
     ``_first_failing`` says whether the whole chunk passes and, if not, finds the failure."""
     space = standard_space(1, 1)
-    cells = [BipolarSoftSet._closed(space, p, q) for p, q in ((1, 0), (0, 1), (0, 0))]
+    cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
                                 for operands in itertools.product(cells, repeat=law.arity))
                 for laws in pending.values() for law in laws}

@@ -114,7 +114,7 @@ class ParameterSpace:
         """The negative parameter paired with ``param``."""
         try:
             return self.negative_params[self.param_index[param]]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownParameter(param) from None
 
     def mask_of(self, members: Iterable[str]) -> int:

@@ -75,6 +75,21 @@ def test_unknown_object_and_parameter():
         BipolarSoftSet.from_assignment(space, {"e2": ((), ())})
 
 
+@pytest.mark.parametrize("call", [lambda a: a.pos(["e1"]), lambda a: a.neg(["e1"]),
+                                  lambda a: a.space.negation(["e1"])],
+                         ids=["pos", "neg", "negation"])
+def test_an_unhashable_parameter_id_is_an_unknown_parameter(call):
+    with pytest.raises(UnknownParameter):
+        call(corpus.houses_a())
+
+
+def test_an_assignment_pair_may_be_any_two_item_iterable():
+    space = corpus.space4()
+    want = BipolarSoftSet.from_assignment(space, {"e1": (("u1",), ("u2",))})
+    for pair in (["u1"], ["u2"]), iter([("u1",), ("u2",)]), [{"u1"}, frozenset({"u2"})]:
+        assert BipolarSoftSet.from_assignment(space, {"e1": pair}) == want
+
+
 def test_direct_mask_construction_is_validated():
     space = corpus.space4()
     with pytest.raises(DisjointnessViolation):
@@ -277,6 +292,8 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: standard_space([1], 1),
     lambda: check_law("union-idempotent", iter([1])),
     lambda: check_law("union-commutative", [(corpus.houses_a(), None)]),
+    lambda: BipolarSoftSet.from_assignment(corpus.space4(), {"e1": 5}),
+    lambda: BipolarSoftSet.from_assignment(corpus.space4(), {"e1": ("u1",)}),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -290,7 +307,8 @@ def test_only_public_constructions_validate(monkeypatch):
         "recheck-no-operands", "recheck-empty-operands", "recheck-one-operand",
         "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",
         "catalogue-empty-text-pool", "space-text-size", "space-list-size", "law-operand-int",
-        "law-operand-none", "random-bounds-budget", "gen-bounds-budget", "random-arity-budget"])
+        "law-operand-none", "assignment-int-pair", "assignment-short-pair",
+        "random-bounds-budget", "gen-bounds-budget", "random-arity-budget"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws
 

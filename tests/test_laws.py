@@ -653,6 +653,53 @@ def test_seeds_equal_mod_2_to_the_64_give_the_same_run():
             == run_catalogue(exhaustive=None, seed=2 ** 64 - 1))
 
 
+def _lane(lane_set, t):
+    """The ``(pos, neg)`` bits of lane ``t`` of a lane set."""
+    width = lane_set.space.m * lane_set.space.n
+    return tuple(bits >> t * width & (1 << width) - 1
+                 for bits in (lane_set.pos_bits, lane_set.neg_bits))
+
+
+def _assert_lanes_hold(group, tuples):
+    """Lane t of operand j's lane set holds operand j of the t-th tuple, and no lane is spare."""
+    assert [lane_set.space.lanes for lane_set in group] == [len(tuples)] * len(group)
+    for t, operands in enumerate(tuples):
+        assert [_lane(lane_set, t) for lane_set in group] \
+            == [(o.pos_bits, o.neg_bits) for o in operands], t
+
+
+# A law that holds cannot see a mis-packed lane (counts come from a chunk's count, not its
+# lanes), so the packing of both sources is checked against the instances a chunk walks.
+@pytest.mark.parametrize("pool", [(1, 1), (1, 2), (2, 1), (1, 3)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
+    walked = []
+    for item_arity, (count, instances, [group]) in laws_module._pooled(
+            list(enumerate_bss(*pool)), arity):
+        tuples = list(instances())
+        assert item_arity == arity and len(tuples) == count and len(group) == arity
+        _assert_lanes_hold(group, tuples)
+        walked += tuples
+    assert walked == list(exhaustive_tuples(*pool, arity))
+
+
+def test_drawn_lanes_hold_the_instances_their_chunk_walks(monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
+    walked = {arity: [] for arity in (1, 2, 3)}
+    for arity, (count, instances, groups) in laws_module._drawn(5, 50, 3, 2, tuple(walked)):
+        tuples, by_size = list(instances()), {}  # by_size: each size's instances in order
+        for operands in tuples:
+            by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(operands)
+        assert len(tuples) == count
+        assert [(group[0].space.m, group[0].space.n) for group in groups] == list(by_size)
+        for group, same_size in zip(groups, by_size.values()):
+            assert len(group) == arity
+            _assert_lanes_hold(group, same_size)
+        walked[arity] += tuples
+    for arity, tuples in walked.items():
+        assert tuples == list(random_tuples(5, 50, arity, 3, 2))
+
+
 def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
     calls = []
     enumerate_pool = laws_module.enumerate_bss
