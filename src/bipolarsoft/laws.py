@@ -7,26 +7,27 @@ laws are written out.  A law either holds on every supplied instance or
 the check stops at the first counterexample, which is stored in serialized
 form so the violation can be replayed later.
 
-``run_catalogue`` checks the exhaustive pool with one sweep per arity, shared by its
-laws, in one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then the
-random draw with one sweep: every arity reads the one seeded stream from its start, the
-arity furthest back first, in chunks of ``_CHUNK`` instances, so memory does not grow
-with the count; a chunk's sets are built only if a law walks it.  Both sources pack lanes
-from cell states with ``_packed``: the pool's last two operands from ``_states``, a drawn
-chunk from its stream values mod 3.  The stream is splitmix64, whose value i is
-mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes a block at once, one value
-per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a mask
-drops what a right shift brings in from the next lane.  A chunk's instances of one size
-lie side by side along the parameter axis of packed lane sets, lane ``t`` holding one
-instance in ``m·n`` contiguous bits (a pool chunk still copies its leading operand into
-every lane).  Union, intersection, complement, null and absolute act cell by cell, so one
-bigint operation evaluates a term on every lane.  A product reads cell ``(i, k)`` of one
-operand and ``(i, l)`` of the other for its cell ``(i, (k, l))``, so row ``k`` of the
-and/or-product of two lane sets is a few bigint operations on every lane at once; the n
-rows are stacked one above the other, each as wide as all the lanes.
+``run_catalogue`` checks its laws in one sweep over one stream of chunks: each arity's
+exhaustive pool, one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then
+the random draw, where every arity reads one seeded stream from its start, the arity
+furthest back first, ``_CHUNK`` instances at a time, so memory does not grow with the count;
+a chunk's sets are built only if a law walks it.  A law leaves the run at its first failure
+on either source, and an arity with no law left is drawn no further.  Each law's one
+``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
+because the benchmark's tracer counts instances there.  Both sources pack lanes from cell
+states with ``_packed``: the pool's last two operands from ``_states``, a drawn chunk from
+its stream values mod 3.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ
+mod 2^64), so ``_splitmix_block`` computes a block at once, one value per 128-bit lane of an
+int: a lane times a 64-bit constant stays in its lane, and a mask drops what a right shift
+brings in from the next lane.  A chunk's instances of one size lie side by side in packed
+lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits.  Union, intersection,
+complement, null and absolute act cell by cell, so one bigint operation evaluates a term on
+all lanes.  A product reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for
+its cell ``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
+bigint operations on all lanes; its n rows are stacked, each as wide as all the lanes.
 
 A chunk passes a row when the row holds on every one-cell instance (the 3^arity
-tuples of sets over ``standard_space(1, 1)``, evaluated once per sweep) and its own
+tuples of sets over ``standard_space(1, 1)``, evaluated once per run) and its own
 evaluator, run on each lane group, returns None.  Run on lane sets, ``_differs`` finds
 no differing cell (or raises AttributeError, as naming a parameter needs ids) and
 ``is_subset_of`` is the AND of the lanes, so an equation or order row fails a chunk
@@ -413,7 +414,7 @@ class _LaneSpace:
 
 
 class _Outcome(NamedTuple):
-    """One law on one source once ``_sweep`` has checked it: the count of instances before
+    """One law once ``_sweep`` has checked it on every source: the count of instances before
     the first failing one, and that instance's operands (one tuple) if one failed."""
 
     passed: int
@@ -491,10 +492,10 @@ def _first_failing(law: Law, one_cell: bool, groups: list,
 
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
     """Each law in ``pending`` (laws by arity, left by each law that fails and each arity with
-    none left) on one shared source, a chunk at a time.  An item is ``(arity, (count,
-    instances, groups))``: ``instances()`` iterates the chunk's ``count`` instances, and
-    ``groups`` holds them packed, one lane set per operand position in each group.
-    ``_first_failing`` says whether the whole chunk passes and, if not, finds the failure."""
+    none left, whose chunks are then skipped) on one stream of chunks from every source.  An
+    item is ``(arity, (count, instances, groups))``: ``instances()`` iterates the chunk's
+    ``count`` instances, and ``groups`` holds them packed, one lane set per operand position
+    in each group.  ``_first_failing`` says whether a whole chunk passes, or finds the failure."""
     space = standard_space(1, 1)
     cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
@@ -504,12 +505,12 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     offsets = dict.fromkeys(pending, 0)  # per arity, the instances before its next chunk
     while pending and (item := next(items, None)) is not None:
         arity, (count, instances, groups) = item
-        for law in pending[arity]:
+        for law in pending.get(arity, ()):  # a dead arity's chunk costs only its head lanes
             failure = _first_failing(law, one_cell[law.law_id], groups, instances)
             if failure is not None:
                 outcomes[law.law_id] = _Outcome(offsets[arity] + failure[0], (failure[1],))
         offsets[arity] += count
-        pending[arity] = [law for law in pending[arity] if law.law_id not in outcomes]
+        pending[arity] = [law for law in pending.get(arity, ()) if law.law_id not in outcomes]
         if not pending[arity]:
             del pending[arity]
     outcomes.update((law.law_id, _Outcome(offsets[arity]))
@@ -539,6 +540,9 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
     the law's arity; all operands of a tuple must share a space.
     """
     law = get_law(law_id)
+    if not isinstance(instances, Iterable):
+        kind = type(instances).__name__
+        raise InvalidArgument(f"law {law_id!r} takes an iterable of instances, got a {kind}")
     checked = 0
     for item in instances:
         if isinstance(item, _Outcome):  # only from run_catalogue
@@ -616,10 +620,9 @@ def run_catalogue(
     pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
     by_arity = {arity: [law for law in distinct if law.arity == arity]
                 for arity in dict.fromkeys(law.arity for law in distinct)}
-    sweeps = [] if pool is None else [_sweep({arity: laws}, _pooled(pool, arity))
-                                      for arity, laws in by_arity.items()]
-    if random_count:  # after the pool, so each law's exhaustive outcome comes first
-        sweeps.append(_sweep(by_arity, _drawn(seed, random_count, *random_bounds, by_arity)))
-    reports = {law.law_id: check_law(law.law_id, [found[law.law_id] for found in sweeps
-                                                  if law.law_id in found]) for law in distinct}
+    sources = [] if pool is None else [_pooled(pool, arity) for arity in by_arity]
+    if random_count:  # after the pool; it draws only the arities with a law left
+        sources.append(_drawn(seed, random_count, *random_bounds, by_arity))
+    found = _sweep(by_arity, itertools.chain(*sources))
+    reports = {law.law_id: check_law(law.law_id, [found[law.law_id]]) for law in distinct}
     return [reports[law.law_id] for law in selected]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InvalidSpace, UnknownObject, UnknownParameter
+from .errors import InvalidArgument, InvalidSpace, UnknownObject, UnknownParameter
 
 
 def _distinct(kind: str, ids: tuple[str, ...]) -> None:
@@ -41,6 +41,8 @@ class ParameterSpace:
     def __post_init__(self) -> None:
         for name in ("universe", "positive_params", "negative_params"):
             value = getattr(self, name)
+            if isinstance(value, str):  # would be read one id per character
+                raise InvalidSpace(f"{name} must be a collection of ids, got {value!r}")
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
         if not self.universe:
@@ -64,8 +66,11 @@ class ParameterSpace:
     ) -> "ParameterSpace":
         """Build from an explicit (positive, negative) pair list."""
         pair_list = list(pairs)
+        for pair in pair_list:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise InvalidSpace(f"a parameter pair must be (positive, negative), got {pair!r}")
         return cls(
-            tuple(universe),
+            universe,
             tuple(p for p, _ in pair_list),
             tuple(q for _, q in pair_list),
         )
@@ -119,6 +124,8 @@ class ParameterSpace:
 
     def mask_of(self, members: Iterable[str]) -> int:
         """Bit mask selecting ``members``; bit ``i`` stands for ``universe[i]``."""
+        if isinstance(members, str):  # would be read one id per character
+            raise InvalidArgument(f"members must be a collection of object ids, got {members!r}")
         index = self.object_index
         mask = 0
         for u in members:

@@ -93,6 +93,9 @@ def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
                 pos[j] |= bit
             elif cell is CellValue.NEGATIVE:
                 neg[j] |= bit
+            elif cell is not CellValue.NEUTRAL:
+                raise InvalidArgument(f"row {space.universe[i]!r}, column {space.pairs[j]!r}: "
+                                      f"{cell!r} is not a CellValue")
     return BipolarSoftSet(space, tuple(pos), tuple(neg))
 
 

@@ -10,10 +10,12 @@ from bipolarsoft import (
     CellValue,
     LawReport,
     ParameterSpace,
+    TabularForm,
     and_product,
     check_law,
     enumerate_bss,
     exhaustive_tuples,
+    from_table,
     gen_bss,
     or_product,
     random_tuples,
@@ -73,6 +75,15 @@ def test_unknown_object_and_parameter():
         BipolarSoftSet.from_assignment(space, {"e1": (("nope",), ())})
     with pytest.raises(UnknownParameter):
         BipolarSoftSet.from_assignment(space, {"e2": ((), ())})
+
+
+@pytest.mark.parametrize("space", [ParameterSpace(("a", "b"), ("e",), ("ne",)), corpus.space4()],
+                         ids=["one-letter-ids", "numbered-ids"])
+def test_a_string_of_members_is_not_read_one_id_per_character(space):
+    param = space.positive_params[0]
+    for pair in (space.universe[0] + space.universe[1], ()), ((), "ab"):
+        with pytest.raises(InvalidArgument):
+            BipolarSoftSet.from_assignment(space, {param: pair})
 
 
 @pytest.mark.parametrize("call", [lambda a: a.pos(["e1"]), lambda a: a.neg(["e1"]),
@@ -294,6 +305,10 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: check_law("union-commutative", [(corpus.houses_a(), None)]),
     lambda: BipolarSoftSet.from_assignment(corpus.space4(), {"e1": 5}),
     lambda: BipolarSoftSet.from_assignment(corpus.space4(), {"e1": ("u1",)}),
+    lambda: from_table(TabularForm(("u1",), (("e1", "not-e1"),), (((1, 0),),)), standard_space(1, 1)),
+    lambda: from_table(TabularForm(("u1",), (("e1", "not-e1"),), (("x",),)), standard_space(1, 1)),
+    lambda: check_law("union-idempotent", corpus.houses_a()),
+    lambda: check_law("union-idempotent", 5),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -308,6 +323,7 @@ def test_only_public_constructions_validate(monkeypatch):
         "catalogue-scalar-pool", "catalogue-no-bounds", "catalogue-empty-zero-pool",
         "catalogue-empty-text-pool", "space-text-size", "space-list-size", "law-operand-int",
         "law-operand-none", "assignment-int-pair", "assignment-short-pair",
+        "table-pair-cell", "table-text-cell", "law-bare-set", "law-int-instances",
         "random-bounds-budget", "gen-bounds-budget", "random-arity-budget"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws

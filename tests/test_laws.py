@@ -430,6 +430,17 @@ def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
     assert len(calls) == 1 + 3  # one comparison of all 81 lanes, one per one-cell set
 
 
+def test_both_sources_share_one_sweep(monkeypatch):
+    calls = []
+    is_subset_of = BipolarSoftSet.is_subset_of
+    monkeypatch.setattr(BipolarSoftSet, "is_subset_of",
+                        lambda a, b: calls.append(1) or is_subset_of(a, b))
+    report = run_catalogue(law_ids=["subset-reflexive"], exhaustive=(2, 2), random_count=1,
+                           random_bounds=(1, 1))[0]
+    assert (report.holds, report.instances_checked) == (True, 81 + 1)
+    assert len(calls) == 1 + 1 + 3  # the pool chunk, the random chunk, each one-cell set once
+
+
 def _rows(bits, stride, width, rows):
     return [bits >> k * stride & (1 << width) - 1 for k in range(rows)]
 
@@ -590,6 +601,14 @@ def test_an_arity_whose_laws_all_failed_is_drawn_no_further(monkeypatch):
     assert [report.holds for report in reports] == [False, True]
     _, pulled = _streams(blocks)
     assert needed <= pulled <= needed + laws_module._BLOCK
+
+
+def test_a_law_that_fails_on_the_pool_is_not_drawn(monkeypatch):
+    blocks = _counting_stream(monkeypatch)
+    report, = run_catalogue(law_ids=["excluded-middle-unconditional"], exhaustive=(1, 1),
+                            random_count=1000)
+    assert (report.holds, report.instances_checked) == (False, 3)  # the neutral cell is third
+    assert blocks == []
 
 
 def _reference_tuples(seed, count, arity, max_m, max_n):

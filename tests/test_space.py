@@ -1,7 +1,7 @@
 import pytest
 
 from bipolarsoft import ParameterSpace
-from bipolarsoft.errors import InvalidSpace, UnknownObject, UnknownParameter
+from bipolarsoft.errors import InvalidArgument, InvalidSpace, UnknownObject, UnknownParameter
 
 import corpus
 
@@ -90,3 +90,26 @@ def test_from_pairs():
         ("u1", "u2"), [("e1", "e2"), ("e3", "e4")]
     )
     assert space == ParameterSpace(("u1", "u2"), ("e1", "e3"), ("e2", "e4"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ParameterSpace("ab", ("e",), ("ne",)),
+    lambda: ParameterSpace(("a",), "e", ("ne",)),
+    lambda: ParameterSpace(("a",), ("e",), "n"),
+    lambda: ParameterSpace.from_pairs("ab", [("e", "ne")]),
+    lambda: ParameterSpace.from_pairs(("u",), [("e",)]),
+    lambda: ParameterSpace.from_pairs(("u",), [("e", "ne", "x")]),
+    lambda: ParameterSpace.from_pairs(("u",), ["en"]),
+    lambda: ParameterSpace.from_pairs(("u",), [5]),
+], ids=["universe-text", "positive-text", "negative-text", "pairs-universe-text",
+        "pairs-short", "pairs-long", "pairs-text-pair", "pairs-int-pair"])
+def test_a_bad_id_list_is_an_invalid_space(build):
+    with pytest.raises(InvalidSpace):
+        build()
+
+
+def test_mask_of_a_string_is_an_invalid_argument():
+    space = ParameterSpace(("a", "b"), ("e",), ("ne",))
+    for members in "ab", "a":
+        with pytest.raises(InvalidArgument):
+            space.mask_of(members)
