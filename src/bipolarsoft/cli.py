@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-laws", help="brute-force the law catalogue")
     p.add_argument("--law", action="append", help="check only this law id (repeatable)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=laws.DEFAULT_SEED)
     p.add_argument("--exhaustive", nargs=2, type=_int_at_least(1), metavar=("M", "N"))
     p.add_argument("--random", type=_int_at_least(0), metavar="COUNT")
     p.add_argument("--bounds", nargs=2, type=_int_at_least(1), default=laws.DEFAULT_RANDOM_BOUNDS,

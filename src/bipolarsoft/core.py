@@ -56,6 +56,8 @@ class BipolarSoftSet:
         space, pos, neg = self.space, self.pos_bits, self.neg_bits
         if isinstance(pos, int) and isinstance(neg, int):  # packed: check the masks it holds
             pos, neg = _unpack(pos, space.m, space.n), _unpack(neg, space.m, space.n)
+        elif not (isinstance(pos, Iterable) and isinstance(neg, Iterable)):
+            raise InvalidArgument("expected two packed ints or two sequences of masks")
         pos, neg = tuple(pos), tuple(neg)
         if len(pos) != space.n or len(neg) != space.n:
             raise InvalidArgument("expected one (pos, neg) mask pair per positive parameter")
@@ -80,6 +82,8 @@ class BipolarSoftSet:
         ``((), ())``.  Unknown parameters or objects and overlapping pairs
         raise the corresponding error.
         """
+        if not isinstance(assignment, Mapping):
+            raise InvalidArgument(f"an assignment must map parameters to pairs, got {assignment!r}")
         pos = [0] * space.n
         neg = [0] * space.n
         index = space.param_index

@@ -63,6 +63,7 @@ from .space import ParameterSpace
 
 MAX_EXHAUSTIVE_CELLS = 12  # 3^12 instances per law from each source; anything larger is declined
 DEFAULT_RANDOM_BOUNDS = (6, 4)  # (max_m, max_n) of randomly sized instances
+DEFAULT_SEED = 1  # of the random draw
 # Random cells per law (count * max_m * max_n * arity): the 3^12 count at the default bounds.
 MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * math.prod(DEFAULT_RANDOM_BOUNDS) * 3
 
@@ -155,18 +156,28 @@ def random_tuples(
     seed: int, count: int, arity: int,
     max_m: int = DEFAULT_RANDOM_BOUNDS[0], max_n: int = DEFAULT_RANDOM_BOUNDS[1],
 ) -> Iterator[tuple[BipolarSoftSet, ...]]:
-    """``count`` operand tuples; each tuple shares one randomly sized space."""
+    """``count`` operand tuples; each tuple shares one randomly sized space.  The arguments
+    are checked by ``_check_random`` when called, before any value is drawn."""
+    _check_random(seed, count, arity, max_m, max_n)
+    return itertools.chain.from_iterable(
+        instances() for _, (_, instances, _) in _drawn(seed, count, max_m, max_n, (arity,)))
+
+
+def _check_random(seed: int, count: int, arity: int, max_m: int, max_n: int) -> None:
+    """Decline a random source of ``count`` ``arity``-tuples over more than 3^12 instances or
+    ``MAX_RANDOM_CELLS`` cells."""
     _require_ints(seed=seed, count=count, arity=arity, max_m=max_m, max_n=max_n)
-    if max_m < 1 or max_n < 1:
-        raise InvalidArgument("size bounds must be positive")
     if count < 0:
         raise InvalidArgument(f"random count must be >= 0, got {count}")
+    if max_m < 1 or max_n < 1:
+        raise InvalidArgument("size bounds must be positive")
     if arity < 1:
         raise InvalidArgument(f"arity must be >= 1, got {arity}")
-    if max_m * max_n * arity > MAX_RANDOM_CELLS:
-        raise BoundsTooLarge(f"{max_m}x{max_n}x{arity} cells exceed {MAX_RANDOM_CELLS} cells")
-    for _, (_, instances, _) in _drawn(seed, count, max_m, max_n, (arity,)):
-        yield from instances()
+    if count > 3 ** MAX_EXHAUSTIVE_CELLS:
+        raise BoundsTooLarge(f"{count} random instances per law exceed 3^{MAX_EXHAUSTIVE_CELLS}")
+    if count * max_m * max_n * arity > MAX_RANDOM_CELLS:
+        raise BoundsTooLarge(f"{count} random instances of up to {max_m}x{max_n}x{arity} cells "
+                             f"exceed {MAX_RANDOM_CELLS} cells per law")
 
 
 def _check_exhaustive(m: int, n: int, arity: int) -> None:
@@ -189,11 +200,11 @@ def _states(cells: int) -> Iterator[bytes]:
 
 
 def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
-    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once."""
+    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once.  The
+    size is checked by ``_check_exhaustive`` when called, before any set is built."""
     _check_exhaustive(m, n, 1)
     space = standard_space(m, n)
-    for states in _states(m * n):
-        yield BipolarSoftSet._closed(space, *_packed(states))
+    return (BipolarSoftSet._closed(space, *_packed(states)) for states in _states(m * n))
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -581,12 +592,13 @@ def run_catalogue(
     law_ids: Optional[Iterable[str]] = None,
     exhaustive: Optional[tuple[int, int]] = (2, 2),
     random_count: int = 1000,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     random_bounds: tuple[int, int] = DEFAULT_RANDOM_BOUNDS,
 ) -> list[LawReport]:
-    """Check selected laws (default: all) over exhaustive plus random instances.
-
-    Raises before any check: BoundsTooLarge if over budget, InvalidArgument if no source or a bad one."""
+    """Check selected laws (default: all) over exhaustive plus random instances.  Raises before
+    any check, BoundsTooLarge if over budget, InvalidArgument if no source or a bad one: the pool
+    by ``_check_exhaustive`` for arity 1 and each selected arity, then the random source by
+    ``_check_random`` for each selected arity (1 if none), even if it is unused."""
     if law_ids is None:
         selected = catalogue()
     elif isinstance(law_ids, str) or not isinstance(law_ids, Iterable):  # a str: one id per char
@@ -596,30 +608,16 @@ def run_catalogue(
     pairs = (random_bounds,) if exhaustive is None else (exhaustive, random_bounds)
     if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairs):
         raise InvalidArgument("pools and bounds must be (m, n) pairs")
-    _require_ints(random_count=random_count, seed=seed,
-                  max_m=random_bounds[0], max_n=random_bounds[1])
-    if random_count < 0:
-        raise InvalidArgument(f"random count must be >= 0, got {random_count}")
-    if random_count and min(random_bounds) < 1:
-        raise InvalidArgument("size bounds must be positive")
     if exhaustive is None and random_count == 0:
         raise InvalidArgument("no instances to check: give an exhaustive pool or a random count")
-    if exhaustive is not None:
-        _check_exhaustive(*exhaustive, 1)  # also when no law is selected
-        for law in selected:
-            _check_exhaustive(exhaustive[0], exhaustive[1], law.arity)
-    if random_count > 3 ** MAX_EXHAUSTIVE_CELLS:
-        raise BoundsTooLarge(f"{random_count} random instances per law exceed 3^{MAX_EXHAUSTIVE_CELLS}")
-    for law in selected:
-        if random_count * random_bounds[0] * random_bounds[1] * law.arity > MAX_RANDOM_CELLS:
-            raise BoundsTooLarge(
-                f"{random_count} random instances of up to {random_bounds[0]}x{random_bounds[1]}"
-                f"x{law.arity} cells exceed {MAX_RANDOM_CELLS} cells per law"
-            )
+    arities = dict.fromkeys(law.arity for law in selected)
+    for arity in dict.fromkeys((1, *arities)) if exhaustive is not None else ():
+        _check_exhaustive(*exhaustive, arity)
+    for arity in arities or (1,):
+        _check_random(seed, random_count, arity, *random_bounds)
     distinct = {law.law_id: law for law in selected}.values()  # a repeated id is swept once
     pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
-    by_arity = {arity: [law for law in distinct if law.arity == arity]
-                for arity in dict.fromkeys(law.arity for law in distinct)}
+    by_arity = {arity: [law for law in distinct if law.arity == arity] for arity in arities}
     sources = [] if pool is None else [_pooled(pool, arity) for arity in by_arity]
     if random_count:  # after the pool; it draws only the arities with a law left
         sources.append(_drawn(seed, random_count, *random_bounds, by_arity))

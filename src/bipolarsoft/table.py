@@ -44,16 +44,16 @@ class TabularForm:
     cells: tuple[tuple[CellValue, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) != len(self.row_labels):
-            raise DimensionMismatch(
-                f"{len(self.row_labels)} row labels but {len(self.cells)} cell rows"
-            )
-        width = len(self.col_labels)
-        for label, row in zip(self.row_labels, self.cells):
-            if len(row) != width:
-                raise DimensionMismatch(
-                    f"row {label!r} has {len(row)} cells, expected {width}"
-                )
+        try:
+            height, width = len(self.row_labels), len(self.col_labels)
+            lengths = [len(row) for row in self.cells]
+        except TypeError:  # an int, say, where a sequence belongs
+            raise InvalidArgument("labels, cells and each row of cells must be sequences") from None
+        if len(lengths) != height:
+            raise DimensionMismatch(f"{height} row labels but {len(lengths)} cell rows")
+        for label, length in zip(self.row_labels, lengths):
+            if length != width:
+                raise DimensionMismatch(f"row {label!r} has {length} cells, expected {width}")
 
 
 def to_table(bss: BipolarSoftSet) -> TabularForm:

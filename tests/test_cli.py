@@ -204,13 +204,15 @@ def test_op_wrong_operand_count(capsys, fixtures_dir):
 
 @pytest.mark.parametrize("name", ["and", "or"])
 def test_op_product_rejects_colliding_composite_ids(capsys, tmp_path, name):
-    # (a,b) x c and a x (b,c) both compose to the positive id "(a,b,c)"
+    # (a,b) x c and a x (b,c) both compose to the positive id "(a,b,c)": the document is
+    # valid, its products are not
     path = tmp_path / "collide.bss.json"
     path.write_text(json.dumps({
         "universe": ["u1"],
         "pairs": [{"pos": e, "neg": f"not-{k}"} for k, e in enumerate(["a,b", "c", "a", "b,c"])],
         "assignments": [],
     }))
+    assert run_cli(capsys, "validate", str(path)) == (0, "valid: m=1 n=4 complete=false\n", "")
     code, out, err = run_cli(capsys, "op", name, str(path), str(path))
     assert code == 1
     assert out == ""
@@ -366,6 +368,21 @@ def test_check_laws_budget_counts_operand_tuples(capsys):
     assert code == 2
     assert out == ""
     assert "BoundsTooLarge" in err
+
+
+@pytest.mark.parametrize("flags, line", [
+    ("--random 600000", "600000 random instances per law exceed 3^12"),
+    ("--exhaustive 3 3 --law union-commutative --law union-associative",
+     "3^18 exhaustive instances exceed the limit of 3^12"),
+    ("--random 531441 --bounds 20 12",
+     "531441 random instances of up to 20x12x1 cells exceed 38263752 cells per law"),
+    ("--exhaustive 2 2 --random 531441 --bounds 12 12 --law union-associative",
+     "531441 random instances of up to 12x12x3 cells exceed 38263752 cells per law"),
+], ids=["count-cap", "pool-budget", "random-budget-first-arity", "pool-before-random-budget"])
+def test_check_laws_budget_errors_are_pinned(capsys, flags, line):
+    # the pool is checked before the random source, each arity in selection order
+    code, out, err = run_cli(capsys, "check-laws", *flags.split())
+    assert (code, out, err) == (2, "", f"error: BoundsTooLarge: {line}\n")
 
 
 @pytest.mark.parametrize("content, error", [

@@ -309,10 +309,20 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: from_table(TabularForm(("u1",), (("e1", "not-e1"),), (("x",),)), standard_space(1, 1)),
     lambda: check_law("union-idempotent", corpus.houses_a()),
     lambda: check_law("union-idempotent", 5),
+    lambda: corpus.space4().mask_of(5),
+    lambda: TabularForm(("u1",), (("e1", "not-e1"),), 5),
+    lambda: TabularForm(("u1",), (("e1", "not-e1"),), (5,)),
+    lambda: BipolarSoftSet.from_assignment(corpus.space4(), 5),
+    lambda: BipolarSoftSet(corpus.space4(), 5, None),
+    lambda: random_tuples(1, -2, 1),  # the sources check when called, not when iterated
+    lambda: enumerate_bss(0, 1),
+    lambda: run_catalogue(exhaustive=(1, 1), random_count=0, random_bounds=(0, 4)),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
     lambda: list(random_tuples(1, 1, 3, 3 ** 12 * 6, 5)),  # one cell per law over the budget
+    lambda: random_tuples(1, 3 ** 12 + 1, 1),
+    lambda: next(random_tuples(1, 10 ** 6, 1)),
 ]], ids=["shape", "range", "negative", "enumerate", "exhaustive", "random", "arity", "cell",
         "packed-range", "packed-negative", "random-count", "catalogue-count",
         "catalogue-pool", "catalogue-bounds", "catalogue-bound-size", "catalogue-float-pool",
@@ -324,7 +334,10 @@ def test_only_public_constructions_validate(monkeypatch):
         "catalogue-empty-text-pool", "space-text-size", "space-list-size", "law-operand-int",
         "law-operand-none", "assignment-int-pair", "assignment-short-pair",
         "table-pair-cell", "table-text-cell", "law-bare-set", "law-int-instances",
-        "random-bounds-budget", "gen-bounds-budget", "random-arity-budget"])
+        "space-int-members", "table-int-cells", "table-int-row", "assignment-int",
+        "masks-int-none", "random-count-when-called", "enumerate-when-called",
+        "catalogue-unused-bounds", "random-bounds-budget", "gen-bounds-budget",
+        "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws
 

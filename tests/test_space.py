@@ -101,8 +101,11 @@ def test_from_pairs():
     lambda: ParameterSpace.from_pairs(("u",), [("e", "ne", "x")]),
     lambda: ParameterSpace.from_pairs(("u",), ["en"]),
     lambda: ParameterSpace.from_pairs(("u",), [5]),
+    lambda: ParameterSpace(5, ("e",), ("ne",)),
+    lambda: ParameterSpace.from_pairs(("u",), 5),
 ], ids=["universe-text", "positive-text", "negative-text", "pairs-universe-text",
-        "pairs-short", "pairs-long", "pairs-text-pair", "pairs-int-pair"])
+        "pairs-short", "pairs-long", "pairs-text-pair", "pairs-int-pair", "universe-int",
+        "pairs-int"])
 def test_a_bad_id_list_is_an_invalid_space(build):
     with pytest.raises(InvalidSpace):
         build()
