@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import BipolarSoftSet
+from .core import BipolarSoftSet, _space_of
 from .errors import InvalidSpace, ParseError
 from .space import ParameterSpace
 
@@ -27,7 +27,7 @@ _TOP_KEYS = ("universe", "pairs", "assignments")
 
 def to_document(bss: BipolarSoftSet) -> dict:
     """Canonical dict form of a bipolar soft set."""
-    space = bss.space
+    space = _space_of(bss)
     assignments = []
     for e, p, q in zip(space.positive_params, bss.pos_masks, bss.neg_masks):
         if p or q:

@@ -13,8 +13,20 @@ Assignment = Mapping[str, tuple[Iterable[str], Iterable[str]]]
 
 def ensure_same_space(a: "BipolarSoftSet", b: "BipolarSoftSet") -> None:
     """Binary operations require operands over one space; widening is never implicit."""
-    if a.space is not b.space and a.space != b.space:
+    try:  # free on valid operands, unlike an isinstance check on every lattice call
+        same = a.space is b.space or a.space == b.space
+    except AttributeError:
+        raise InvalidArgument(f"expected two bipolar soft sets, got "
+                              f"{type(a).__name__} and {type(b).__name__}") from None
+    if not same:
         raise SpaceMismatch("operands are defined over different parameter spaces")
+
+
+def _space_of(value: "BipolarSoftSet") -> ParameterSpace:
+    """The space of a bipolar soft set; InvalidArgument for any other value."""
+    if not isinstance(value, BipolarSoftSet):
+        raise InvalidArgument(f"expected a bipolar soft set, got {type(value).__name__}")
+    return value.space
 
 
 def _pack(masks: tuple[int, ...], m: int) -> int:
@@ -62,6 +74,8 @@ class BipolarSoftSet:
         if len(pos) != space.n or len(neg) != space.n:
             raise InvalidArgument("expected one (pos, neg) mask pair per positive parameter")
         for e, p, q in zip(space.positive_params, pos, neg):
+            if not (isinstance(p, int) and isinstance(q, int)):
+                raise InvalidArgument(f"parameter {e!r}: masks must be integers, got {p!r}, {q!r}")
             if (p | q) & ~space.full_mask or p < 0 or q < 0:
                 raise InvalidArgument(f"parameter {e!r}: mask selects bits outside the universe")
             if p & q:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BipolarSoftSet
+from .core import BipolarSoftSet, _space_of
 from .table import _csv_rows, _text_rows
 
 
@@ -27,9 +27,10 @@ class DecisionResult:
 
 def scores(bss: BipolarSoftSet) -> tuple[ScoreRow, ...]:
     """One row per object in universe order; score = approvals - rejections."""
-    column = bss.space.cells_mask // bss.space.full_mask  # object 0 at every parameter
+    space = _space_of(bss)
+    column = space.cells_mask // space.full_mask  # object 0 at every parameter
     rows = []
-    for i, u in enumerate(bss.space.universe):
+    for i, u in enumerate(space.universe):
         c_plus = (bss.pos_bits & column << i).bit_count()
         c_minus = (bss.neg_bits & column << i).bit_count()
         rows.append(ScoreRow(u, c_plus, c_minus, c_plus - c_minus))

@@ -1,11 +1,10 @@
 """Brute-force law checking over enumerated and seeded-random instances.
 
-Every algebraic law the library relies on is a row of one catalogue table
-and can be checked against any instance source: most rows are equations
-or order laws between two terms over the operands, and three conditional
-laws are written out.  A law either holds on every supplied instance or
-the check stops at the first counterexample, which is stored in serialized
-form so the violation can be replayed later.
+Every algebraic law the library relies on is a row of one catalogue table and can be checked
+against any instance source.  A row is its formula in the paper's notation, read into one
+function of the operands; only subset transitivity, an implication, is written out.  A law
+either holds on every supplied instance or the check stops at the first counterexample,
+which is stored in serialized form so the violation can be replayed later.
 
 ``run_catalogue`` checks its laws in one sweep over one stream of chunks: each arity's
 exhaustive pool, one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then
@@ -34,25 +33,28 @@ no differing cell (or raises AttributeError, as naming a parameter needs ids) an
 with a failing lane.  An implication (subset transitivity) or a biconditional between
 whole-set predicates (the conditional excluded-middle rows' "absolute iff complete")
 run on lane sets is not the AND of its lanes, so the one-cell instances stand in for
-it: an m×n set is a direct product of m·n one-cell sets, and for operations that act
-on each cell alone such a row holds on every set once it holds on every one-cell
-instance (Birkhoff 1935).  When a chunk does not pass, or the check raises
-AttributeError, the scalar evaluator walks it from its first instance to the first
-failure, so counts and witnesses are the scalar check's.
+it: an m×n set is a direct product of m·n one-cell sets, so such a row holds on every
+set once it holds on every one-cell instance (Birkhoff 1935).  When a chunk does not
+pass, or the check raises AttributeError, the scalar evaluator walks it from its first
+instance to the first failure.  Counts and witnesses are the scalar check's only if
+every operation is lane-local (lane t of a result reads only lane t of the operands),
+as the lane groups assume, and cell-local, as the one-cell stand-in assumes.  Nothing
+checks either: the ``NONLOCAL_FAULTS`` of the tests pass ``run_catalogue`` in full.
 
-Two catalogued laws are expected to fail: the unconditional excluded-middle
-forms, which break on any instance with a neutral cell.  Their corrected
-conditional forms are catalogued separately and must hold.
+Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
+break on any instance with a neutral cell.  Their corrected conditional forms must hold.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
@@ -270,136 +272,120 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     return None
 
 
-# Each side of a law calls the operations on its operands as it runs, never a
-# method bound at import, so a patched or traced ``BipolarSoftSet`` is seen.
-
-Sides = Callable[..., tuple[BipolarSoftSet, BipolarSoftSet]]
-
-
-def _equation(law_id: str, arity: int, description: str, sides: Sides,
-              must_hold: bool = True) -> Law:
-    """``lhs = rhs``, where ``sides(*operands)`` returns ``(lhs, rhs)``."""
-
-    def evaluate(*operands: BipolarSoftSet) -> Violation:
-        return _differs(*sides(*operands))
-
-    return Law(law_id, arity, must_hold, description, evaluate)
+# A row is read from its formula in the paper's notation: operands A, B and C, the constants
+# null and absolute, postfix ᶜ and one of ∪ ∩ ∧ ∨ per parenthesis level.  A node calls its
+# operation by name when it runs, not bound at import, so patched or traced operations are seen.
+_TOKENS = re.compile(r"[A-Za-z]+|\S")  # a name, or any other symbol but a space
+_LEAVES = {"A": itemgetter(0), "B": itemgetter(1), "C": itemgetter(2),
+           "null": lambda v: BipolarSoftSet.null(v[0].space),
+           "absolute": lambda v: BipolarSoftSet.absolute(v[0].space)}
+_NODES = {"∪": lambda f, g: lambda v: f(v).union(g(v)),
+          "∩": lambda f, g: lambda v: f(v).intersection(g(v)),
+          "∧": lambda f, g: lambda v: and_product(f(v), g(v)),
+          "∨": lambda f, g: lambda v: or_product(f(v), g(v)),
+          "ᶜ": lambda f: lambda v: f(v).complement()}
 
 
-def _order(law_id: str, description: str, sides: Sides, reason: str) -> Law:
-    """Unary ``lower ≤ upper``, where ``sides(a)`` returns ``(lower, upper)``."""
+def _term(tokens: list[str]) -> Callable[[tuple], BipolarSoftSet]:
+    """The term at the front of ``tokens``, which it consumes, as one function of the operands."""
 
-    def evaluate(a: BipolarSoftSet) -> Violation:
-        lower, upper = sides(a)
-        return None if lower.is_subset_of(upper) else _refute(reason)
+    def operand():
+        token = tokens.pop(0)
+        f = _LEAVES[token] if token != "(" else _term(tokens)
+        if token == "(" and tokens.pop(0) != ")":
+            raise ValueError("expected ')' after one operation")
+        while tokens[:1] == ["ᶜ"]:
+            f = _NODES[tokens.pop(0)](f)
+        return f
 
-    return Law(law_id, 1, True, description, evaluate)
-
-
-def _null(a: BipolarSoftSet) -> BipolarSoftSet:
-    return BipolarSoftSet.null(a.space)
-
-
-def _absolute(a: BipolarSoftSet) -> BipolarSoftSet:
-    return BipolarSoftSet.absolute(a.space)
+    f = operand()
+    return _NODES[tokens.pop(0)](f, operand()) if tokens and tokens[0] in _NODES else f
 
 
-def _subset_transitive(a, b, c) -> Violation:
-    if a.is_subset_of(b) and b.is_subset_of(c) and not a.is_subset_of(c):
-        return _refute("chain premises hold but the conclusion fails")
-    return None
+def _sides(formula: str, relation: str) -> tuple[int, Callable, Callable]:
+    """The arity (to the last operand named, and at least A, whose space the constants take)
+    and both terms of ``lhs relation rhs``."""
+    tokens = _TOKENS.findall(formula)
+    arity = max(1, *map(" ABC".find, tokens))  # A, B, C count 1, 2, 3; other tokens -1
+    lhs, sign, rhs = _term(tokens), tokens.pop(0), _term(tokens)
+    if sign != relation or tokens:
+        raise ValueError(f"{formula!r} is not one {relation} between two terms")
+    return arity, lhs, rhs
 
 
-def _excluded_middle(a: BipolarSoftSet, join: bool) -> Violation:
-    """A ∪ Aᶜ (``join``) approves exactly A's decided cells, rejects nothing, and is
-    absolute iff A is complete; A ∩ Aᶜ is the mirror image with the sides swapped."""
-    decided = a.pos_bits | a.neg_bits
-    if join:
-        term, combined, bound = "A ∪ Aᶜ = absolute", a.union(a.complement()), _absolute(a)
-        expected = BipolarSoftSet._closed(a.space, decided, 0)
-    else:
-        term, combined, bound = "A ∩ Aᶜ = null", a.intersection(a.complement()), _null(a)
-        expected = BipolarSoftSet._closed(a.space, 0, decided)
-    violation = _differs(combined, expected)
-    if violation is None and (combined == bound) != a.is_complete():
-        return _refute(f"{term} does not coincide with A being complete")
-    return violation
+def _equation(law_id: str, formula: str, description: str = "", must_hold: bool = True) -> Law:
+    """``lhs = rhs``; the description is the formula unless given."""
+    arity, lhs, rhs = _sides(formula, "=")
+    return Law(law_id, arity, must_hold, description or formula,
+               lambda *v: _differs(lhs(v), rhs(v)))
+
+
+def _order(law_id: str, formula: str, description: str, reason: str) -> Law:
+    """``lower ⊆ upper``, refuted with ``reason``."""
+    arity, lower, upper = _sides(formula, "⊆")
+    return Law(law_id, arity, True, description,
+               lambda *v: None if lower(v).is_subset_of(upper(v)) else _refute(reason))
+
+
+def _excluded_middle(law_id: str, formula: str, description: str) -> Law:
+    """``A ∪ Aᶜ = absolute`` corrected: A ∪ Aᶜ is the bound on A's decided cells, neutral
+    elsewhere, and is the bound iff A is complete.  Likewise ``A ∩ Aᶜ = null``."""
+    arity, lhs, rhs = _sides(formula, "=")
+
+    def evaluate(*v: BipolarSoftSet) -> Violation:
+        a, combined, bound = v[0], lhs(v), rhs(v)
+        decided = a.pos_bits | a.neg_bits
+        violation = _differs(combined, BipolarSoftSet._closed(
+            a.space, decided & bound.pos_bits, decided & bound.neg_bits))
+        if violation is None and (combined == bound) != a.is_complete():
+            return _refute(f"{formula} does not coincide with A being complete")
+        return violation
+
+    return Law(law_id, arity, True, description, evaluate)
 
 
 # The catalogue, in report order.  Ids, descriptions and the operand order of
 # every call are part of the report format: witnesses depend on them.
 _LAWS = (
-    _order("subset-reflexive", "A is a subset of itself",
-           lambda a: (a, a), "A not a subset of itself"),
-    Law("subset-transitive", 3, True,
-        "A subset of B and B subset of C implies A subset of C", _subset_transitive),
-    _order("subset-bounded-below", "the null set is a subset of everything",
-           lambda a: (_null(a), a), "null not below A"),
-    _order("subset-bounded-above", "everything is a subset of the absolute set",
-           lambda a: (a, _absolute(a)), "A not below absolute"),
-    _equation("union-idempotent", 1, "A ∪ A = A",
-              lambda a: (a.union(a), a)),
-    _equation("union-null-identity", 1, "A ∪ null = A",
-              lambda a: (a.union(_null(a)), a)),
-    _equation("union-absolute-absorbing", 1, "A ∪ absolute = absolute",
-              lambda a: (a.union(top := _absolute(a)), top)),
-    _equation("union-commutative", 2, "A ∪ B = B ∪ A",
-              lambda a, b: (a.union(b), b.union(a))),
-    _equation("union-associative", 3, "A ∪ (B ∪ C) = (A ∪ B) ∪ C",
-              lambda a, b, c: (a.union(b.union(c)), a.union(b).union(c))),
-    _equation("union-absorption", 2, "A ∪ (A ∩ B) = A",
-              lambda a, b: (a.union(a.intersection(b)), a)),
-    _equation("intersection-idempotent", 1, "A ∩ A = A",
-              lambda a: (a.intersection(a), a)),
-    _equation("intersection-null-absorbing", 1, "A ∩ null = null",
-              lambda a: (a.intersection(bottom := _null(a)), bottom)),
-    _equation("intersection-absolute-identity", 1, "A ∩ absolute = A",
-              lambda a: (a.intersection(_absolute(a)), a)),
-    _equation("intersection-commutative", 2, "A ∩ B = B ∩ A",
-              lambda a, b: (a.intersection(b), b.intersection(a))),
-    _equation("intersection-associative", 3, "A ∩ (B ∩ C) = (A ∩ B) ∩ C",
-              lambda a, b, c: (a.intersection(b.intersection(c)),
-                               a.intersection(b).intersection(c))),
-    _equation("intersection-absorption", 2, "A ∩ (A ∪ B) = A",
-              lambda a, b: (a.intersection(a.union(b)), a)),
-    _equation("distributive-intersection-over-union", 3, "A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)",
-              lambda a, b, c: (a.intersection(b.union(c)),
-                               a.intersection(b).union(a.intersection(c)))),
-    _equation("distributive-union-over-intersection", 3, "A ∪ (B ∩ C) = (A ∪ B) ∩ (A ∪ C)",
-              lambda a, b, c: (a.union(b.intersection(c)),
-                               a.union(b).intersection(a.union(c)))),
-    _equation("complement-involution", 1, "complement of the complement restores A",
-              lambda a: (a.complement().complement(), a)),
-    _equation("complement-null", 1, "complement of null is absolute",
-              lambda a: (_null(a).complement(), _absolute(a))),
-    _equation("complement-absolute", 1, "complement of absolute is null",
-              lambda a: (_absolute(a).complement(), _null(a))),
-    _equation("demorgan-union", 2, "complement of A ∪ B equals Aᶜ ∩ Bᶜ",
-              lambda a, b: (a.union(b).complement(),
-                            a.complement().intersection(b.complement()))),
-    _equation("demorgan-intersection", 2, "complement of A ∩ B equals Aᶜ ∪ Bᶜ",
-              lambda a, b: (a.intersection(b).complement(),
-                            a.complement().union(b.complement()))),
-    _equation("demorgan-and-product", 2, "complement of A ∧ B equals Aᶜ ∨ Bᶜ",
-              lambda a, b: (and_product(a, b).complement(),
-                            or_product(a.complement(), b.complement()))),
-    _equation("demorgan-or-product", 2, "complement of A ∨ B equals Aᶜ ∧ Bᶜ",
-              lambda a, b: (or_product(a, b).complement(),
-                            and_product(a.complement(), b.complement()))),
-    Law("excluded-middle-union", 1, True,
-        "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
-        "and is absolute precisely when A is complete",
-        lambda a: _excluded_middle(a, join=True)),
-    Law("excluded-middle-intersection", 1, True,
-        "A ∩ Aᶜ rejects exactly the non-neutral cells, approves nothing, "
-        "and is null precisely when A is complete",
-        lambda a: _excluded_middle(a, join=False)),
-    _equation("excluded-middle-unconditional", 1,
-              "A ∪ Aᶜ = absolute (fails whenever A has a neutral cell)",
-              lambda a: (a.union(a.complement()), _absolute(a)), must_hold=False),
-    _equation("excluded-middle-intersection-unconditional", 1,
-              "A ∩ Aᶜ = null (fails whenever A has a neutral cell)",
-              lambda a: (a.intersection(a.complement()), _null(a)), must_hold=False),
+    _order("subset-reflexive", "A ⊆ A", "A is a subset of itself", "A not a subset of itself"),
+    Law("subset-transitive", 3, True, "A subset of B and B subset of C implies A subset of C",
+        lambda a, b, c: _refute("chain premises hold but the conclusion fails")
+        if a.is_subset_of(b) and b.is_subset_of(c) and not a.is_subset_of(c) else None),
+    _order("subset-bounded-below", "null ⊆ A", "the null set is a subset of everything",
+           "null not below A"),
+    _order("subset-bounded-above", "A ⊆ absolute", "everything is a subset of the absolute set",
+           "A not below absolute"),
+    _equation("union-idempotent", "A ∪ A = A"),
+    _equation("union-null-identity", "A ∪ null = A"),
+    _equation("union-absolute-absorbing", "A ∪ absolute = absolute"),
+    _equation("union-commutative", "A ∪ B = B ∪ A"),
+    _equation("union-associative", "A ∪ (B ∪ C) = (A ∪ B) ∪ C"),
+    _equation("union-absorption", "A ∪ (A ∩ B) = A"),
+    _equation("intersection-idempotent", "A ∩ A = A"),
+    _equation("intersection-null-absorbing", "A ∩ null = null"),
+    _equation("intersection-absolute-identity", "A ∩ absolute = A"),
+    _equation("intersection-commutative", "A ∩ B = B ∩ A"),
+    _equation("intersection-associative", "A ∩ (B ∩ C) = (A ∩ B) ∩ C"),
+    _equation("intersection-absorption", "A ∩ (A ∪ B) = A"),
+    _equation("distributive-intersection-over-union", "A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)"),
+    _equation("distributive-union-over-intersection", "A ∪ (B ∩ C) = (A ∪ B) ∩ (A ∪ C)"),
+    _equation("complement-involution", "Aᶜᶜ = A", "complement of the complement restores A"),
+    _equation("complement-null", "nullᶜ = absolute", "complement of null is absolute"),
+    _equation("complement-absolute", "absoluteᶜ = null", "complement of absolute is null"),
+    _equation("demorgan-union", "(A ∪ B)ᶜ = Aᶜ ∩ Bᶜ", "complement of A ∪ B equals Aᶜ ∩ Bᶜ"),
+    _equation("demorgan-intersection", "(A ∩ B)ᶜ = Aᶜ ∪ Bᶜ", "complement of A ∩ B equals Aᶜ ∪ Bᶜ"),
+    _equation("demorgan-and-product", "(A ∧ B)ᶜ = Aᶜ ∨ Bᶜ", "complement of A ∧ B equals Aᶜ ∨ Bᶜ"),
+    _equation("demorgan-or-product", "(A ∨ B)ᶜ = Aᶜ ∧ Bᶜ", "complement of A ∨ B equals Aᶜ ∧ Bᶜ"),
+    _excluded_middle("excluded-middle-union", "A ∪ Aᶜ = absolute",
+                     "A ∪ Aᶜ approves exactly the non-neutral cells, rejects nothing, "
+                     "and is absolute precisely when A is complete"),
+    _excluded_middle("excluded-middle-intersection", "A ∩ Aᶜ = null",
+                     "A ∩ Aᶜ rejects exactly the non-neutral cells, approves nothing, "
+                     "and is null precisely when A is complete"),
+    _equation("excluded-middle-unconditional", "A ∪ Aᶜ = absolute",
+              "A ∪ Aᶜ = absolute (fails whenever A has a neutral cell)", must_hold=False),
+    _equation("excluded-middle-intersection-unconditional", "A ∩ Aᶜ = null",
+              "A ∩ Aᶜ = null (fails whenever A has a neutral cell)", must_hold=False),
 )
 _CATALOGUE = {law.law_id: law for law in _LAWS}
 

@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import BipolarSoftSet
+from .core import BipolarSoftSet, _space_of
 from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
@@ -58,7 +58,7 @@ class TabularForm:
 
 def to_table(bss: BipolarSoftSet) -> TabularForm:
     """Encode a bipolar soft set as its indicator matrix; orders follow the space."""
-    space = bss.space
+    space = _space_of(bss)
     columns = tuple(zip(bss.pos_masks, bss.neg_masks))
     cells = []
     for i in range(space.m):
@@ -75,6 +75,9 @@ def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
 
     Exact inverse of :func:`to_table` for tables it produced.
     """
+    if not (isinstance(table, TabularForm) and isinstance(space, ParameterSpace)):
+        raise InvalidArgument(f"expected a table and a parameter space, got "
+                              f"{type(table).__name__} and {type(space).__name__}")
     if len(table.row_labels) != space.m or len(table.col_labels) != space.n:
         raise DimensionMismatch(
             f"table is {len(table.row_labels)}x{len(table.col_labels)}, "

@@ -22,6 +22,7 @@ from bipolarsoft import (
     recheck,
     run_catalogue,
     scores,
+    serialize,
     standard_space,
     to_document,
     to_table,
@@ -317,6 +318,16 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: random_tuples(1, -2, 1),  # the sources check when called, not when iterated
     lambda: enumerate_bss(0, 1),
     lambda: run_catalogue(exhaustive=(1, 1), random_count=0, random_bounds=(0, 4)),
+    lambda: BipolarSoftSet(standard_space(1, 1), ("a",), (0,)),
+    lambda: corpus.houses_a().union(5),
+    lambda: corpus.houses_a().is_subset_of(5),
+    lambda: corpus.houses_a().equals(5),
+    lambda: and_product(corpus.houses_a(), 5),
+    lambda: scores(5),
+    lambda: to_table(5),
+    lambda: serialize(5),
+    lambda: from_table(to_table(corpus.houses_a()), 5),
+    lambda: from_table(5, corpus.houses_a().space),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -336,7 +347,9 @@ def test_only_public_constructions_validate(monkeypatch):
         "table-pair-cell", "table-text-cell", "law-bare-set", "law-int-instances",
         "space-int-members", "table-int-cells", "table-int-row", "assignment-int",
         "masks-int-none", "random-count-when-called", "enumerate-when-called",
-        "catalogue-unused-bounds", "random-bounds-budget", "gen-bounds-budget",
+        "catalogue-unused-bounds", "masks-text", "union-int", "subset-int", "equals-int",
+        "and-product-int", "scores-int", "table-int-set", "serialize-int", "from-table-int-space",
+        "from-table-int-table", "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws

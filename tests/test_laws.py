@@ -400,6 +400,105 @@ def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
     assert recheck(report)
 
 
+def _one_cell_operand(positive, negative):
+    return {"universe": ["u1"], "pairs": [{"pos": "e1", "neg": "not-e1"}],
+            "assignments": [{"param": "e1", "positive": positive, "negative": negative}]}
+
+
+APPROVING_CELL = _one_cell_operand(["u1"], [])  # the first one-cell set of the enumeration
+NEUTRAL_CELL = {"universe": ["u1"], "pairs": [{"pos": "e1", "neg": "not-e1"}], "assignments": []}
+REJECTING_CELL = _one_cell_operand([], ["u1"])
+
+
+def _never(*operands):
+    return False
+
+
+@pytest.mark.parametrize("fault, law_id, checked, operands, reason", [
+    ((BipolarSoftSet, "is_subset_of", _never), "subset-reflexive", 1, [APPROVING_CELL],
+     "A not a subset of itself"),
+    ((BipolarSoftSet, "is_subset_of", _never), "subset-bounded-below", 1, [APPROVING_CELL],
+     "null not below A"),
+    ((BipolarSoftSet, "is_subset_of", _never), "subset-bounded-above", 1, [APPROVING_CELL],
+     "A not below absolute"),
+    # approve ≤ neutral ≤ reject under the faulty order, which forbids only approve ≤ reject
+    (CELLWISE_FAULTS[5], "subset-transitive", 8, [APPROVING_CELL, NEUTRAL_CELL, REJECTING_CELL],
+     "chain premises hold but the conclusion fails"),
+    ((BipolarSoftSet, "is_complete", _never), "excluded-middle-union", 1, [APPROVING_CELL],
+     "A ∪ Aᶜ = absolute does not coincide with A being complete"),
+    ((BipolarSoftSet, "is_complete", _never), "excluded-middle-intersection", 1,
+     [APPROVING_CELL], "A ∩ Aᶜ = null does not coincide with A being complete"),
+], ids=["reflexive", "below", "above", "transitive", "excluded-middle-union",
+        "excluded-middle-intersection"])
+def test_refutation_witnesses_are_pinned(fault, law_id, checked, operands, reason, monkeypatch):
+    monkeypatch.setattr(*fault)
+    report = check_law(law_id, exhaustive_tuples(1, 1, get_law(law_id).arity))
+    assert (report.holds, report.instances_checked) == (False, checked)
+    assert report.counterexample == {"operands": operands, "parameter": None, "reason": reason}
+    assert recheck(report)
+
+
+def _one_each(bits_a, bits_b):  # exactly one cell set in each
+    return bits_a.bit_count() == 1 == bits_b.bit_count()
+
+
+_UNION, _IS_SUBSET_OF, _IS_COMPLETE = (BipolarSoftSet.union, BipolarSoftSet.is_subset_of,
+                                       BipolarSoftSet.is_complete)
+
+
+def _union_dropping_approvals_of_one_each(a, b):  # when a approves one cell and rejects one
+    joined = _UNION(a, b)
+    if _one_each(a.pos_bits, a.neg_bits):
+        return BipolarSoftSet._closed(joined.space, 0, joined.neg_bits)
+    return joined
+
+
+def _subset_also_of_one_approval_each(a, b):
+    return _IS_SUBSET_OF(a, b) or _one_each(a.pos_bits, b.pos_bits)
+
+
+def _complete_also_with_one_each(a):
+    return _IS_COMPLETE(a) or _one_each(a.pos_bits, a.neg_bits)
+
+
+# Each fault reads a count over the whole set, so it is neither cell-local nor lane-local: no
+# one-cell set shows it, and a lane set holding many instances almost never does.  With each
+# fault, its rows' first failures on the 2x2 pool, one instance at a time.
+NONLOCAL_FAULTS = [
+    ((BipolarSoftSet, "union", _union_dropping_approvals_of_one_each),
+     {"union-idempotent": 18, "union-commutative": 18, "union-absorption": 1378,
+      "union-associative": 7939}),
+    ((BipolarSoftSet, "is_subset_of", _subset_also_of_one_approval_each),
+     {"subset-transitive": 87832}),
+    ((BipolarSoftSet, "is_complete", _complete_also_with_one_each),
+     {"excluded-middle-union": 18, "excluded-middle-intersection": 18}),
+]
+NONLOCAL_IDS = ["union", "subset", "complete"]
+
+
+def _scalar_reports_on_the_pool(law_ids):
+    return [check_law(law_id, exhaustive_tuples(2, 2, get_law(law_id).arity))
+            for law_id in law_ids]
+
+
+@pytest.mark.parametrize("fault, first_failures", NONLOCAL_FAULTS, ids=NONLOCAL_IDS)
+def test_nonlocal_faults_fail_the_scalar_check(fault, first_failures, monkeypatch):
+    monkeypatch.setattr(*fault)
+    assert [(report.holds, report.instances_checked)
+            for report in _scalar_reports_on_the_pool(first_failures)] \
+        == [(False, count) for count in first_failures.values()]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a lane verdict assumes lane-local "
+                                       "operations, and nothing checks that they are")
+@pytest.mark.parametrize("fault, first_failures", NONLOCAL_FAULTS, ids=NONLOCAL_IDS)
+def test_lane_checks_find_the_scalar_witness_under_a_nonlocal_fault(
+        fault, first_failures, monkeypatch):
+    monkeypatch.setattr(*fault)
+    assert run_catalogue(law_ids=list(first_failures), exhaustive=(2, 2), random_count=0) \
+        == _scalar_reports_on_the_pool(first_failures)
+
+
 def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
     calls = []
     union = BipolarSoftSet.union
