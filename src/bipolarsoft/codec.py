@@ -151,5 +151,6 @@ def load(path: str | Path) -> BipolarSoftSet:
 
 
 def dump(bss: BipolarSoftSet, path: str | Path) -> None:
+    text = serialize(bss)  # before the file is opened, which empties it
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize(bss))
+        handle.write(text)

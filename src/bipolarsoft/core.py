@@ -22,6 +22,11 @@ def ensure_same_space(a: "BipolarSoftSet", b: "BipolarSoftSet") -> None:
         raise SpaceMismatch("operands are defined over different parameter spaces")
 
 
+def _not_a_space(value: object) -> InvalidArgument:
+    """The error for a value read as a parameter space, raised where its AttributeError is caught."""
+    return InvalidArgument(f"expected a parameter space, got {type(value).__name__}")
+
+
 def _space_of(value: "BipolarSoftSet") -> ParameterSpace:
     """The space of a bipolar soft set; InvalidArgument for any other value."""
     if not isinstance(value, BipolarSoftSet):
@@ -66,12 +71,16 @@ class BipolarSoftSet:
 
     def __post_init__(self) -> None:
         space, pos, neg = self.space, self.pos_bits, self.neg_bits
+        try:
+            m, n = space.m, space.n
+        except AttributeError:
+            raise _not_a_space(space) from None
         if isinstance(pos, int) and isinstance(neg, int):  # packed: check the masks it holds
-            pos, neg = _unpack(pos, space.m, space.n), _unpack(neg, space.m, space.n)
+            pos, neg = _unpack(pos, m, n), _unpack(neg, m, n)
         elif not (isinstance(pos, Iterable) and isinstance(neg, Iterable)):
             raise InvalidArgument("expected two packed ints or two sequences of masks")
         pos, neg = tuple(pos), tuple(neg)
-        if len(pos) != space.n or len(neg) != space.n:
+        if len(pos) != n or len(neg) != n:
             raise InvalidArgument("expected one (pos, neg) mask pair per positive parameter")
         for e, p, q in zip(space.positive_params, pos, neg):
             if not (isinstance(p, int) and isinstance(q, int)):
@@ -80,8 +89,8 @@ class BipolarSoftSet:
                 raise InvalidArgument(f"parameter {e!r}: mask selects bits outside the universe")
             if p & q:
                 raise DisjointnessViolation(e, space.members(p & q))
-        _set_pos(self, _pack(pos, space.m))
-        _set_neg(self, _pack(neg, space.m))
+        _set_pos(self, _pack(pos, m))
+        _set_neg(self, _pack(neg, m))
 
     def __reduce__(self):  # pickle would restore the slots through the frozen __setattr__
         return BipolarSoftSet, (self.space, self.pos_bits, self.neg_bits)
@@ -98,9 +107,10 @@ class BipolarSoftSet:
         """
         if not isinstance(assignment, Mapping):
             raise InvalidArgument(f"an assignment must map parameters to pairs, got {assignment!r}")
-        pos = [0] * space.n
-        neg = [0] * space.n
-        index = space.param_index
+        try:
+            pos, neg, index = [0] * space.n, [0] * space.n, space.param_index
+        except AttributeError:
+            raise _not_a_space(space) from None
         for e, pair in assignment.items():
             if e not in index:
                 raise UnknownParameter(e)
@@ -125,12 +135,18 @@ class BipolarSoftSet:
     @classmethod
     def null(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Bottom of the order: every object rejected at every parameter."""
-        return cls._closed(space, 0, space.cells_mask)
+        try:  # free on a valid space, which may also be the law checker's lane space
+            return cls._closed(space, 0, space.cells_mask)
+        except AttributeError:
+            raise _not_a_space(space) from None
 
     @classmethod
     def absolute(cls, space: ParameterSpace) -> "BipolarSoftSet":
         """Top of the order: every object approved at every parameter."""
-        return cls._closed(space, space.cells_mask, 0)
+        try:
+            return cls._closed(space, space.cells_mask, 0)
+        except AttributeError:
+            raise _not_a_space(space) from None
 
     # -- per-parameter access ----------------------------------------------
 

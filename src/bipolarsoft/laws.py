@@ -1,8 +1,8 @@
 """Brute-force law checking over enumerated and seeded-random instances.
 
 Every algebraic law the library relies on is a row of one catalogue table and can be checked
-against any instance source.  A row is its formula in the paper's notation, read into one
-function of the operands; only subset transitivity, an implication, is written out.  A law
+against any instance source.  A row is its formula in the paper's notation, compiled once into
+one function of the operands; only subset transitivity, an implication, is written out.  A law
 either holds on every supplied instance or the check stops at the first counterexample,
 which is stored in serialized form so the violation can be replayed later.
 
@@ -54,7 +54,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
@@ -258,10 +257,8 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
         return None
     space = left.space
-    for e, lp, ln, rp, rn in zip(
-        space.positive_params, left.pos_masks, left.neg_masks,
-        right.pos_masks, right.neg_masks,
-    ):
+    for e, lp, ln, rp, rn in zip(space.positive_params, left.pos_masks, left.neg_masks,
+                                 right.pos_masks, right.neg_masks):
         if lp != rp or ln != rn:
             return {
                 "parameter": e,
@@ -273,21 +270,18 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
 
 
 # A row is read from its formula in the paper's notation: operands A, B and C, the constants
-# null and absolute, postfix ᶜ and one of ∪ ∩ ∧ ∨ per parenthesis level.  A node calls its
-# operation by name when it runs, not bound at import, so patched or traced operations are seen.
+# null and absolute, postfix ᶜ and one of ∪ ∩ ∧ ∨ per parenthesis level.  Each row is compiled
+# once into one function that names its operations and looks them up when it runs, not bound
+# at import, so patched or traced operations are seen.  Only ``_LAWS``'s text reaches eval.
 _TOKENS = re.compile(r"[A-Za-z]+|\S")  # a name, or any other symbol but a space
-_LEAVES = {"A": itemgetter(0), "B": itemgetter(1), "C": itemgetter(2),
-           "null": lambda v: BipolarSoftSet.null(v[0].space),
-           "absolute": lambda v: BipolarSoftSet.absolute(v[0].space)}
-_NODES = {"∪": lambda f, g: lambda v: f(v).union(g(v)),
-          "∩": lambda f, g: lambda v: f(v).intersection(g(v)),
-          "∧": lambda f, g: lambda v: and_product(f(v), g(v)),
-          "∨": lambda f, g: lambda v: or_product(f(v), g(v)),
-          "ᶜ": lambda f: lambda v: f(v).complement()}
+_LEAVES = {"A": "v[0]", "B": "v[1]", "C": "v[2]", "null": "BipolarSoftSet.null(v[0].space)",
+           "absolute": "BipolarSoftSet.absolute(v[0].space)"}
+_NODES = {"∪": "{}.union({})", "∩": "{}.intersection({})", "∧": "and_product({}, {})",
+          "∨": "or_product({}, {})", "ᶜ": "{}.complement()"}
 
 
-def _term(tokens: list[str]) -> Callable[[tuple], BipolarSoftSet]:
-    """The term at the front of ``tokens``, which it consumes, as one function of the operands."""
+def _term(tokens: list[str]) -> str:
+    """The term at the front of ``tokens``, which it consumes, as an expression over ``v``."""
 
     def operand():
         token = tokens.pop(0)
@@ -295,14 +289,14 @@ def _term(tokens: list[str]) -> Callable[[tuple], BipolarSoftSet]:
         if token == "(" and tokens.pop(0) != ")":
             raise ValueError("expected ')' after one operation")
         while tokens[:1] == ["ᶜ"]:
-            f = _NODES[tokens.pop(0)](f)
+            f = _NODES[tokens.pop(0)].format(f)
         return f
 
     f = operand()
-    return _NODES[tokens.pop(0)](f, operand()) if tokens and tokens[0] in _NODES else f
+    return _NODES[tokens.pop(0)].format(f, operand()) if tokens and tokens[0] in _NODES else f
 
 
-def _sides(formula: str, relation: str) -> tuple[int, Callable, Callable]:
+def _sides(formula: str, relation: str) -> tuple[int, str, str]:
     """The arity (to the last operand named, and at least A, whose space the constants take)
     and both terms of ``lhs relation rhs``."""
     tokens = _TOKENS.findall(formula)
@@ -313,27 +307,33 @@ def _sides(formula: str, relation: str) -> tuple[int, Callable, Callable]:
     return arity, lhs, rhs
 
 
+def _compiled(body: str) -> Callable:
+    """``lambda *v: body`` in this module's own globals: a copy would hide a patched name."""
+    return eval(f"lambda *v: {body}", globals())
+
+
 def _equation(law_id: str, formula: str, description: str = "", must_hold: bool = True) -> Law:
     """``lhs = rhs``; the description is the formula unless given."""
     arity, lhs, rhs = _sides(formula, "=")
     return Law(law_id, arity, must_hold, description or formula,
-               lambda *v: _differs(lhs(v), rhs(v)))
+               _compiled(f"_differs({lhs}, {rhs})"))
 
 
 def _order(law_id: str, formula: str, description: str, reason: str) -> Law:
     """``lower ⊆ upper``, refuted with ``reason``."""
     arity, lower, upper = _sides(formula, "⊆")
     return Law(law_id, arity, True, description,
-               lambda *v: None if lower(v).is_subset_of(upper(v)) else _refute(reason))
+               _compiled(f"None if {lower}.is_subset_of({upper}) else _refute({reason!r})"))
 
 
 def _excluded_middle(law_id: str, formula: str, description: str) -> Law:
     """``A ∪ Aᶜ = absolute`` corrected: A ∪ Aᶜ is the bound on A's decided cells, neutral
     elsewhere, and is the bound iff A is complete.  Likewise ``A ∩ Aᶜ = null``."""
     arity, lhs, rhs = _sides(formula, "=")
+    sides = _compiled(f"({lhs}, {rhs})")
 
-    def evaluate(*v: BipolarSoftSet) -> Violation:
-        a, combined, bound = v[0], lhs(v), rhs(v)
+    def evaluate(a: BipolarSoftSet) -> Violation:
+        combined, bound = sides(a)
         decided = a.pos_bits | a.neg_bits
         violation = _differs(combined, BipolarSoftSet._closed(
             a.space, decided & bound.pos_bits, decided & bound.neg_bits))

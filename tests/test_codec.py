@@ -9,6 +9,7 @@ from bipolarsoft.codec import dump
 from bipolarsoft.errors import (
     BipolarSoftError,
     DisjointnessViolation,
+    InvalidArgument,
     ParseError,
     UnknownObject,
     UnknownParameter,
@@ -86,6 +87,14 @@ def test_dump_writes_lf_only(tmp_path):
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
     assert load(target) == corpus.houses_a()
+
+
+def test_a_dump_that_fails_leaves_its_target_as_it_was(tmp_path):
+    target = tmp_path / "kept.txt"
+    target.write_bytes(b"keep me\n")
+    with pytest.raises(InvalidArgument):
+        dump(5, target)
+    assert target.read_bytes() == b"keep me\n"
 
 
 def test_parse_reports_json_location():

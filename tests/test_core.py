@@ -18,6 +18,7 @@ from bipolarsoft import (
     from_table,
     gen_bss,
     or_product,
+    product_space,
     random_tuples,
     recheck,
     run_catalogue,
@@ -328,6 +329,11 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: serialize(5),
     lambda: from_table(to_table(corpus.houses_a()), 5),
     lambda: from_table(5, corpus.houses_a().space),
+    lambda: BipolarSoftSet(5, 0, 0),
+    lambda: BipolarSoftSet.from_assignment(5, {}),
+    lambda: BipolarSoftSet.null(5),
+    lambda: BipolarSoftSet.absolute(5),
+    lambda: product_space(5),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -349,7 +355,8 @@ def test_only_public_constructions_validate(monkeypatch):
         "masks-int-none", "random-count-when-called", "enumerate-when-called",
         "catalogue-unused-bounds", "masks-text", "union-int", "subset-int", "equals-int",
         "and-product-int", "scores-int", "table-int-set", "serialize-int", "from-table-int-space",
-        "from-table-int-table", "random-bounds-budget", "gen-bounds-budget",
+        "from-table-int-table", "set-int-space", "assignment-int-space", "null-int-space",
+        "absolute-int-space", "product-space-int", "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws

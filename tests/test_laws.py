@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -207,6 +208,34 @@ def test_catalogue_contents():
     assert [
         (law.law_id, law.arity, law.must_hold, law.description) for law in catalogue()
     ] == CATALOGUE
+
+
+def test_each_equation_and_order_row_is_one_compiled_function():
+    compiled = [law for law in catalogue() if law.evaluate.__code__.co_filename == "<string>"]
+    # all but subset-transitive and the corrected excluded-middle rows, which are written out
+    assert len(compiled) == len(catalogue()) - 3
+    assert all(law.evaluate.__globals__ is laws_module.__dict__ for law in catalogue())
+    law = get_law("distributive-intersection-over-union")
+    assert {"_differs", "intersection", "union"} <= set(law.evaluate.__code__.co_names)
+    cell = BipolarSoftSet.absolute(standard_space(1, 1))
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name))
+    try:
+        law.evaluate(cell, cell, cell)
+    finally:
+        sys.setprofile(None)
+    assert calls.count("<lambda>") == 1  # the row itself: no frame per formula node
+
+
+@pytest.mark.parametrize("formula", [
+    "A ∪ (B ∪ C = A",  # no ')'
+    "A ∪ B ∪ C = A",  # two operations at one level
+    "A = B = C",  # tokens left over
+    "A ⊆ B",  # the wrong relation
+], ids=["unclosed", "two-operations", "leftover", "relation"])
+def test_the_formula_reader_refuses_a_malformed_row(formula):
+    with pytest.raises(ValueError):
+        laws_module._equation("malformed", formula)
 
 
 # the third set of the 2x2 enumeration: e1 approved by both objects, e2 by u1 only
