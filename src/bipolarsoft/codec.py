@@ -16,10 +16,11 @@ lines with LF, so equal values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .core import BipolarSoftSet, _space_of
-from .errors import InvalidSpace, ParseError
+from .errors import InvalidArgument, InvalidSpace, ParseError
 from .space import ParameterSpace
 
 _TOP_KEYS = ("universe", "pairs", "assignments")
@@ -28,16 +29,11 @@ _TOP_KEYS = ("universe", "pairs", "assignments")
 def to_document(bss: BipolarSoftSet) -> dict:
     """Canonical dict form of a bipolar soft set."""
     space = _space_of(bss)
-    assignments = []
-    for e, p, q in zip(space.positive_params, bss.pos_masks, bss.neg_masks):
-        if p or q:
-            assignments.append(
-                {"param": e, "positive": list(space.members(p)), "negative": list(space.members(q))}
-            )
     return {
         "universe": list(space.universe),
         "pairs": [{"pos": p, "neg": q} for p, q in space.pairs],
-        "assignments": assignments,
+        "assignments": [{"param": e, "positive": list(pos), "negative": list(neg)}
+                        for e, pos, neg in bss._assignment() if pos or neg],
     }
 
 
@@ -107,7 +103,7 @@ def from_document(doc) -> BipolarSoftSet:
         negative.append(_expect_str(pair["neg"], f"pairs[{i}].neg"))
 
     try:
-        space = ParameterSpace.from_pairs(universe, zip(positive, negative))
+        space = ParameterSpace(universe, positive, negative)
     except InvalidSpace as exc:
         raise ParseError(str(exc), "document") from exc
 
@@ -139,18 +135,30 @@ def parse(text: str | bytes) -> BipolarSoftSet:
         raise ParseError(str(exc), "document") from exc
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply", "document") from None
+    except TypeError:  # json.loads takes only str, bytes and bytearray
+        raise InvalidArgument(f"expected document text, got {type(text).__name__}") from None
     return from_document(doc)
+
+
+def _not_a_path(value: object) -> InvalidArgument:
+    return InvalidArgument(f"expected a file path, got {type(value).__name__}")
 
 
 def load(path: str | Path) -> BipolarSoftSet:
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except TypeError:  # Path() takes only str and os.PathLike
+        raise _not_a_path(path) from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
     return parse(text)
 
 
 def dump(bss: BipolarSoftSet, path: str | Path) -> None:
+    try:  # refuses an int, which open() would take as a file descriptor to write to and close
+        os.fspath(path)
+    except TypeError:
+        raise _not_a_path(path) from None
     text = serialize(bss)  # before the file is opened, which empties it
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DisjointnessViolation, InvalidArgument, SpaceMismatch, UnknownParameter
 from .space import ParameterSpace
@@ -27,11 +27,16 @@ def _not_a_space(value: object) -> InvalidArgument:
     return InvalidArgument(f"expected a parameter space, got {type(value).__name__}")
 
 
+def _instance(value, cls: type, what: str):
+    """``value`` if it is a ``cls``; else InvalidArgument saying that ``what`` was expected."""
+    if not isinstance(value, cls):
+        raise InvalidArgument(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
 def _space_of(value: "BipolarSoftSet") -> ParameterSpace:
     """The space of a bipolar soft set; InvalidArgument for any other value."""
-    if not isinstance(value, BipolarSoftSet):
-        raise InvalidArgument(f"expected a bipolar soft set, got {type(value).__name__}")
-    return value.space
+    return _instance(value, BipolarSoftSet, "a bipolar soft set").space
 
 
 def _pack(masks: tuple[int, ...], m: int) -> int:
@@ -167,6 +172,13 @@ class BipolarSoftSet:
         """Objects rejecting ``param`` (i.e. satisfying its negation), in universe order."""
         return self.space.members(self.neg_bits >> self._offset(param) & self.space.full_mask)
 
+    def _assignment(self) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+        """``(param, approving, rejecting)`` per positive parameter in space order, neutral ones
+        included.  Ids are read first: a space without them raises before any mask is unpacked."""
+        space = self.space
+        return ((e, space.members(p), space.members(q))
+                for e, p, q in zip(space.positive_params, self.pos_masks, self.neg_masks))
+
     # -- order --------------------------------------------------------------
 
     def is_subset_of(self, other: "BipolarSoftSet") -> bool:
@@ -210,15 +222,9 @@ class BipolarSoftSet:
     __le__ = is_subset_of
 
     def __repr__(self) -> str:
-        space = self.space
-        parts = []
-        for e, p, q in zip(space.positive_params, self.pos_masks, self.neg_masks):
-            if p or q:
-                pos = ",".join(space.members(p))
-                neg = ",".join(space.members(q))
-                parts.append(f"{e}: +{{{pos}}} -{{{neg}}}")
-        body = "; ".join(parts) if parts else "all neutral"
-        return f"<BipolarSoftSet {body}>"
+        rows = "; ".join(f"{e}: +{{{','.join(pos)}}} -{{{','.join(neg)}}}"
+                         for e, pos, neg in self._assignment() if pos or neg)
+        return f"<BipolarSoftSet {rows or 'all neutral'}>"
 
 
 _set_space, _set_pos, _set_neg = (BipolarSoftSet.__dict__[name].__set__

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BipolarSoftSet, _space_of
+from .core import BipolarSoftSet, _instance, _space_of
 from .table import _csv_rows, _text_rows
 
 
@@ -49,6 +49,7 @@ def decide(bss: BipolarSoftSet) -> DecisionResult:
 
 
 def render_scores_text(result: DecisionResult) -> str:
+    result = _instance(result, DecisionResult, "a decision result")
     rows = [("object", "c+", "c-", "score")] + [
         (row.object_id, str(row.c_plus), str(row.c_minus), str(row.score)) for row in result.rows
     ]
@@ -57,6 +58,7 @@ def render_scores_text(result: DecisionResult) -> str:
 
 
 def render_scores_csv(result: DecisionResult) -> str:
+    result = _instance(result, DecisionResult, "a decision result")
     return _csv_rows([("object", "c_plus", "c_minus", "score")] + [
         (row.object_id, row.c_plus, row.c_minus, row.score) for row in result.rows
     ])
@@ -64,6 +66,7 @@ def render_scores_csv(result: DecisionResult) -> str:
 
 def scores_document(result: DecisionResult) -> dict:
     """JSON-ready dict form of a decision."""
+    result = _instance(result, DecisionResult, "a decision result")
     return {
         "rows": [
             {

@@ -57,7 +57,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
-from .core import BipolarSoftSet
+from .core import BipolarSoftSet, _instance
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
@@ -256,16 +256,10 @@ def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
     """None if structurally equal, else the first divergent parameter's cells."""
     if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
         return None
-    space = left.space
-    for e, lp, ln, rp, rn in zip(space.positive_params, left.pos_masks, left.neg_masks,
-                                 right.pos_masks, right.neg_masks):
-        if lp != rp or ln != rn:
-            return {
-                "parameter": e,
-                "reason": "sides disagree",
-                "left": {"positive": list(space.members(lp)), "negative": list(space.members(ln))},
-                "right": {"positive": list(space.members(rp)), "negative": list(space.members(rn))},
-            }
+    for (e, *lhs), (_, *rhs) in zip(left._assignment(), right._assignment()):
+        if lhs != rhs:
+            sides = [{"positive": list(pos), "negative": list(neg)} for pos, neg in (lhs, rhs)]
+            return {"parameter": e, "reason": "sides disagree", "left": sides[0], "right": sides[1]}
     return None
 
 
@@ -300,8 +294,11 @@ def _sides(formula: str, relation: str) -> tuple[int, str, str]:
     """The arity (to the last operand named, and at least A, whose space the constants take)
     and both terms of ``lhs relation rhs``."""
     tokens = _TOKENS.findall(formula)
-    arity = max(1, *map(" ABC".find, tokens))  # A, B, C count 1, 2, 3; other tokens -1
-    lhs, sign, rhs = _term(tokens), tokens.pop(0), _term(tokens)
+    arity = max([1, *map(" ABC".find, tokens)])  # A, B, C count 1, 2, 3; other tokens -1
+    try:  # KeyError: an unknown symbol; IndexError: an early end; ValueError: no ')'
+        lhs, sign, rhs = _term(tokens), tokens.pop(0), _term(tokens)
+    except (KeyError, IndexError, ValueError):
+        sign = None
     if sign != relation or tokens:
         raise ValueError(f"{formula!r} is not one {relation} between two terms")
     return arity, lhs, rhs
@@ -564,7 +561,7 @@ def check_law(law_id: str, instances: Iterable) -> LawReport:
 
 def recheck(report: LawReport) -> bool:
     """True iff the report's stored counterexample still violates its law."""
-    if report.holds or not report.counterexample:
+    if _instance(report, LawReport, "a law report").holds or not report.counterexample:
         return False
     law = get_law(report.law_id)
     witness = report.counterexample

@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import BipolarSoftSet, _space_of
+from .core import BipolarSoftSet, _instance, _space_of
 from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
@@ -122,6 +122,7 @@ def _csv_rows(rows) -> str:
 
 def _rows(table: TabularForm, corner: str, cell: str) -> list:
     """Header and body rows; ``cell`` is a format string for a cell's (a, b) pair."""
+    table = _instance(table, TabularForm, "a table")
     text = {c: cell.format(*c.pair) for c in CellValue}
     return [[corner] + [f"({p},{q})" for p, q in table.col_labels]] + [
         [label] + [text[c] for c in row]
@@ -141,6 +142,7 @@ def render_table_csv(table: TabularForm) -> str:
 
 def table_document(table: TabularForm) -> dict:
     """JSON-ready dict form of a table."""
+    table = _instance(table, TabularForm, "a table")
     return {
         "rows": list(table.row_labels),
         "columns": [{"pos": p, "neg": q} for p, q in table.col_labels],

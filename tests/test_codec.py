@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,20 @@ def test_a_dump_that_fails_leaves_its_target_as_it_was(tmp_path):
     with pytest.raises(InvalidArgument):
         dump(5, target)
     assert target.read_bytes() == b"keep me\n"
+
+
+def test_dump_refuses_a_file_descriptor():
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(InvalidArgument):
+            dump(corpus.houses_a(), write_end)  # open() would write there, then close it
+        os.write(write_end, b"still open")
+    finally:
+        os.close(write_end)
+    try:
+        assert os.read(read_end, 1 << 16) == b"still open"
+    finally:
+        os.close(read_end)
 
 
 def test_parse_reports_json_location():

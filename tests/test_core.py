@@ -17,14 +17,22 @@ from bipolarsoft import (
     exhaustive_tuples,
     from_table,
     gen_bss,
+    load,
     or_product,
+    parse,
     product_space,
     random_tuples,
     recheck,
+    render_scores_csv,
+    render_scores_text,
+    render_table_csv,
+    render_table_text,
     run_catalogue,
     scores,
+    scores_document,
     serialize,
     standard_space,
+    table_document,
     to_document,
     to_table,
 )
@@ -229,6 +237,17 @@ def test_repr_suppresses_neutral_pairs():
     assert repr(BipolarSoftSet.from_assignment(space, {})) == "<BipolarSoftSet all neutral>"
 
 
+@pytest.mark.parametrize("build, text", [
+    (corpus.houses_a, "<BipolarSoftSet e1: +{u1,u3,u4} -{u2,u6}; e3: +{u2,u5,u7} -{u1,u3,u8}; "
+                      "e5: +{u3,u4} -{u1,u2,u5,u8}; e7: +{u5,u6,u7,u8} -{u2,u3}>"),
+    (lambda: BipolarSoftSet.from_assignment(corpus.space4(), {"e3": (("u2",), ("u1",)),
+                                                              "e7": ((), ("u8",))}),
+     "<BipolarSoftSet e3: +{u2} -{u1}; e7: +{} -{u8}>"),
+], ids=["houses-a", "empty-approving-side"])
+def test_repr_is_pinned(build, text):
+    assert repr(build()) == text
+
+
 def test_closed_results_are_indistinguishable_from_validated_ones():
     import dataclasses
     import pickle
@@ -334,6 +353,15 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: BipolarSoftSet.null(5),
     lambda: BipolarSoftSet.absolute(5),
     lambda: product_space(5),
+    lambda: render_table_text(5),
+    lambda: render_table_csv(5),
+    lambda: table_document(5),
+    lambda: render_scores_text(5),
+    lambda: render_scores_csv(5),
+    lambda: scores_document(5),
+    lambda: recheck(5),
+    lambda: parse(5),
+    lambda: load(5),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -356,7 +384,10 @@ def test_only_public_constructions_validate(monkeypatch):
         "catalogue-unused-bounds", "masks-text", "union-int", "subset-int", "equals-int",
         "and-product-int", "scores-int", "table-int-set", "serialize-int", "from-table-int-space",
         "from-table-int-table", "set-int-space", "assignment-int-space", "null-int-space",
-        "absolute-int-space", "product-space-int", "random-bounds-budget", "gen-bounds-budget",
+        "absolute-int-space", "product-space-int", "render-table-text-int",
+        "render-table-csv-int", "table-document-int", "render-scores-text-int",
+        "render-scores-csv-int", "scores-document-int", "recheck-int", "parse-int", "load-int",
+        "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
     from bipolarsoft import laws

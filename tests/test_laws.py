@@ -155,8 +155,8 @@ def test_report_json_shape():
     json.dumps(doc)  # serializable
 
 
-# The catalogue's contract: report order, ids, arities, verdict expectations
-# and descriptions are all part of the check-laws output.
+# The catalogue's contract: report order, ids and verdict expectations are part of the
+# check-laws output; arities and descriptions are part of catalogue().
 CATALOGUE = [
     ("subset-reflexive", 1, True, "A is a subset of itself"),
     ("subset-transitive", 3, True, "A subset of B and B subset of C implies A subset of C"),
@@ -232,10 +232,17 @@ def test_each_equation_and_order_row_is_one_compiled_function():
     "A ∪ B ∪ C = A",  # two operations at one level
     "A = B = C",  # tokens left over
     "A ⊆ B",  # the wrong relation
-], ids=["unclosed", "two-operations", "leftover", "relation"])
+    "A ∪ = A",  # a relation where an operand belongs
+    "A ∪ D = A",  # an unknown operand
+    "A ∪",  # no second operand
+    "(A ∪ B",  # no ')' and no relation
+    "",  # no term at all
+], ids=["unclosed", "two-operations", "leftover", "relation", "missing-operand", "unknown-operand",
+        "ends-after-operation", "ends-unclosed", "empty"])
 def test_the_formula_reader_refuses_a_malformed_row(formula):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         laws_module._equation("malformed", formula)
+    assert repr(formula) in str(err.value)  # the message names the row
 
 
 # the third set of the 2x2 enumeration: e1 approved by both objects, e2 by u1 only
