@@ -78,13 +78,12 @@ def cmd_op(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
-    sources = {}  # no source flag: run_catalogue's default sources; either flag drops the other
-    if args.exhaustive or args.random is not None:
-        sources = {"exhaustive": args.exhaustive and tuple(args.exhaustive),
-                   "random_count": args.random or 0}
-    reports = laws.run_catalogue(
-        law_ids=args.law or None, seed=args.seed, random_bounds=tuple(args.bounds), **sources
-    )
+    # Only the flags given reach run_catalogue, which keeps its own defaults for the rest.
+    given = {"law_ids": args.law, "seed": args.seed, "random_bounds": args.bounds}
+    given = {name: value for name, value in given.items() if value is not None}
+    if args.exhaustive or args.random is not None:  # either source flag drops the other source
+        given.update(exhaustive=args.exhaustive, random_count=args.random or 0)
+    reports = laws.run_catalogue(**given)
     failures = [r.law_id for r in reports if r.must_hold and not r.holds]
     doc = {
         "laws": [r.to_json() for r in reports],
@@ -143,11 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-laws", help="brute-force the law catalogue")
     p.add_argument("--law", action="append", help="check only this law id (repeatable)")
-    p.add_argument("--seed", type=int, default=laws.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--exhaustive", nargs=2, type=_int_at_least(1), metavar=("M", "N"))
     p.add_argument("--random", type=_int_at_least(0), metavar="COUNT")
-    p.add_argument("--bounds", nargs=2, type=_int_at_least(1), default=laws.DEFAULT_RANDOM_BOUNDS,
-                   metavar=("M", "N"))
+    p.add_argument("--bounds", nargs=2, type=_int_at_least(1), metavar=("M", "N"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_check_laws)
 

@@ -144,17 +144,17 @@ def _not_a_path(value: object) -> InvalidArgument:
     return InvalidArgument(f"expected a file path, got {type(value).__name__}")
 
 
-def load(path: str | Path) -> BipolarSoftSet:
+def load(path: str | bytes | Path) -> BipolarSoftSet:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except TypeError:  # Path() takes only str and os.PathLike
+        text = Path(os.fsdecode(path)).read_text(encoding="utf-8")
+    except TypeError:  # os.fsdecode takes only str, bytes and os.PathLike
         raise _not_a_path(path) from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
     return parse(text)
 
 
-def dump(bss: BipolarSoftSet, path: str | Path) -> None:
+def dump(bss: BipolarSoftSet, path: str | bytes | Path) -> None:
     try:  # refuses an int, which open() would take as a file descriptor to write to and close
         os.fspath(path)
     except TypeError:

@@ -468,28 +468,13 @@ def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
         yield arity, (space.lanes, partial(instances, head), [lanes + tail])
 
 
-def _first_failing(law: Law, one_cell: bool, groups: list,
-                   instances: Callable[[], Iterable[tuple]]) -> Optional[tuple[int, tuple]]:
-    """The index and operands of the first of a chunk's instances that fails ``law``, or
-    None.  The chunk passes if ``law`` holds on every one-cell instance (``one_cell``) and
-    on every lane group; else the scalar evaluator walks it from its first instance."""
-    try:
-        if one_cell and all(law.evaluate(*lane_sets) is None for lane_sets in groups):
-            return None
-    except AttributeError:  # a witness or an operation read ids, or a product was nested
-        pass
-    for i, operands in enumerate(instances()):
-        if law.evaluate(*operands) is not None:
-            return i, operands
-    return None
-
-
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
     """Each law in ``pending`` (laws by arity, left by each law that fails and each arity with
     none left, whose chunks are then skipped) on one stream of chunks from every source.  An
     item is ``(arity, (count, instances, groups))``: ``instances()`` iterates the chunk's
     ``count`` instances, and ``groups`` holds them packed, one lane set per operand position
-    in each group.  ``_first_failing`` says whether a whole chunk passes, or finds the failure."""
+    in each group.  A law passes a chunk if it holds on every one-cell instance and lane group;
+    else, or if that raises AttributeError, the scalar evaluator walks it to its first failure."""
     space = standard_space(1, 1)
     cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
@@ -500,9 +485,15 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     while pending and (item := next(items, None)) is not None:
         arity, (count, instances, groups) = item
         for law in pending.get(arity, ()):  # a dead arity's chunk costs only its head lanes
-            failure = _first_failing(law, one_cell[law.law_id], groups, instances)
-            if failure is not None:
-                outcomes[law.law_id] = _Outcome(offsets[arity] + failure[0], (failure[1],))
+            try:
+                if one_cell[law.law_id] and all(law.evaluate(*lanes) is None for lanes in groups):
+                    continue
+            except AttributeError:  # a witness or an operation read ids, or a product was nested
+                pass
+            for i, operands in enumerate(instances()):
+                if law.evaluate(*operands) is not None:
+                    outcomes[law.law_id] = _Outcome(offsets[arity] + i, (operands,))
+                    break
         offsets[arity] += count
         pending[arity] = [law for law in pending.get(arity, ()) if law.law_id not in outcomes]
         if not pending[arity]:

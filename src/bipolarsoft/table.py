@@ -28,11 +28,12 @@ class CellValue(Enum):
         return self.value
 
     @classmethod
+    def _missing_(cls, value: object) -> "CellValue":
+        raise InvalidArgument(f"no cell value for pair {value!r}")
+
+    @classmethod
     def from_pair(cls, a: int, b: int) -> "CellValue":
-        try:
-            return cls((a, b))
-        except ValueError:
-            raise InvalidArgument(f"no cell value for pair ({a!r}, {b!r})") from None
+        return cls((a, b))
 
 
 @dataclass(frozen=True)

@@ -389,7 +389,10 @@ def test_check_laws_budget_errors_are_pinned(capsys, flags, line):
     (None, "error: [Errno"),
     (b"\xff\xfe{}", "error: ParseError: byte 0: not UTF-8"),
     (b"[" * 100_000, "error: ParseError: document: arrays or objects nested too deeply"),
-], ids=["directory", "not-utf8", "nested-100k"])
+    pytest.param(b"[" + b"1" * 5000 + b"]", "error: ParseError: document: Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no limit on integer digits")),
+], ids=["directory", "not-utf8", "nested-100k", "integer-5000-digits"])
 def test_unreadable_input_exits_two(capsys, tmp_path, content, error):
     path = tmp_path / "input.bss.json"
     if content is None:

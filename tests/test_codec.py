@@ -112,6 +112,12 @@ def test_dump_refuses_a_file_descriptor():
         os.close(read_end)
 
 
+def test_load_takes_the_bytes_path_that_dump_takes(tmp_path):
+    path = os.fsencode(tmp_path / "p.json")
+    dump(corpus.houses_a(), path)
+    assert load(path) == corpus.houses_a()
+
+
 def test_parse_reports_json_location():
     with pytest.raises(ParseError) as err:
         parse('{"universe": [,]}')

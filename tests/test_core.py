@@ -1,10 +1,15 @@
 import copy
 import dataclasses
+import enum
+import inspect
+import itertools
 import pickle
 import random
+from collections.abc import Iterator
 
 import pytest
 
+import bipolarsoft
 from bipolarsoft import (
     BipolarSoftSet,
     CellValue,
@@ -362,6 +367,10 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: recheck(5),
     lambda: parse(5),
     lambda: load(5),
+    lambda: CellValue(5),
+    lambda: CellValue((1, 1)),
+    lambda: CellValue("x"),
+    lambda: CellValue([1, 0]),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -387,6 +396,7 @@ def test_only_public_constructions_validate(monkeypatch):
         "absolute-int-space", "product-space-int", "render-table-text-int",
         "render-table-csv-int", "table-document-int", "render-scores-text-int",
         "render-scores-csv-int", "scores-document-int", "recheck-int", "parse-int", "load-int",
+        "cell-value-int", "cell-value-both", "cell-value-text", "cell-value-list",
         "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
@@ -402,6 +412,39 @@ def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
         call()
     assert isinstance(err.value, BipolarSoftError)
     assert error is BoundsTooLarge or isinstance(err.value, ValueError)
+
+
+JUNK = (5, "x", None, [1], {"a": 1}, object(), b"x", -1, (), 1.5, True)
+
+
+def _junk_arguments(function) -> list[tuple]:
+    """Junk for ``function``'s required positional parameters: every combination for up to
+    two of them, one value repeated beyond that."""
+    if isinstance(function, enum.EnumMeta):
+        count = 1  # its signature reads (*values) on Python 3.12+
+    else:
+        count = sum(p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                    for p in inspect.signature(function).parameters.values())
+    if count <= 2:
+        return list(itertools.product(JUNK, repeat=count))
+    return [(value,) * count for value in JUNK]
+
+
+@pytest.mark.parametrize("name", [name for name in bipolarsoft.__all__
+                                  if callable(getattr(bipolarsoft, name))])
+def test_every_public_callable_raises_only_package_errors(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a junk path names a file in here
+    function = getattr(bipolarsoft, name)
+    allowed = (BipolarSoftError, OSError) if name in ("load", "dump") else BipolarSoftError
+    for arguments in _junk_arguments(function):
+        try:
+            result = function(*arguments)
+            if isinstance(result, Iterator):
+                list(itertools.islice(result, 3))
+        except allowed:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{name}{arguments!r} raised {type(exc).__name__}: {exc}")
 
 
 def test_standard_space_of_no_objects_is_an_invalid_space():

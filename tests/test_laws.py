@@ -869,9 +869,8 @@ def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
 
 def test_a_repeated_law_id_is_swept_once(monkeypatch):
     calls = []
-    first_failing = laws_module._first_failing
-    monkeypatch.setattr(laws_module, "_first_failing",
-                        lambda *args: calls.append(1) or first_failing(*args))
+    union = BipolarSoftSet.union
+    monkeypatch.setattr(BipolarSoftSet, "union", lambda a, b: calls.append(1) or union(a, b))
 
     def run(law_ids):
         calls.clear()
@@ -879,7 +878,7 @@ def test_a_repeated_law_id_is_swept_once(monkeypatch):
 
     single, once = run(["union-idempotent"])
     double, twice = run(["union-idempotent"] * 2)
-    assert once == twice == 2  # one pool chunk and one random chunk
+    assert once == twice == 3 + 1 + 22  # one-cell sets, the pool chunk, the draw's 22 sizes
     assert double == single * 2
     mixed, _ = run(["union-idempotent", "union-commutative", "union-idempotent"])
     assert mixed == [single[0], run(["union-commutative"])[0][0], single[0]]
