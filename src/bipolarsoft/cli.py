@@ -11,17 +11,17 @@ import os
 import sys
 from pathlib import Path
 
-from . import codec, decision, laws
+import bipolarsoft
+from . import codec
 from .errors import BipolarSoftError, BoundsTooLarge, InvalidArgument, ParseError, UnknownLaw
-from .products import and_product, or_product
-from .table import render_table_csv, render_table_text, table_document, to_table
 
-# Each entry looks its operation up when it runs, so a patched or traced one is seen.
+# Each entry looks its operation up when it runs, so a patched or traced one is seen.  A
+# ``bipolarsoft.<name>`` imports the name's home module then, so a command loads only what it uses.
 _OPS = {
     "union": lambda a, b: a.union(b),
     "intersect": lambda a, b: a.intersection(b),
-    "and": lambda a, b: and_product(a, b),
-    "or": lambda a, b: or_product(a, b),
+    "and": lambda a, b: bipolarsoft.and_product(a, b),
+    "or": lambda a, b: bipolarsoft.or_product(a, b),
     "subset": lambda a, b: a.is_subset_of(b),
     "equals": lambda a, b: a.equals(b),
     "complement": lambda a: a.complement(),
@@ -53,7 +53,7 @@ def cmd_validate(args) -> int:
 
 def cmd_render(args) -> int:
     """``table`` and ``decide``: compute a result from one document and emit it in ``--format``."""
-    compute, text, csv, document = args.renderers()
+    compute, text, csv, document = (getattr(bipolarsoft, name) for name in args.renderers)
     result = compute(codec.load(args.path))
     render = {"text": text, "csv": csv, "json": lambda r: codec._json_text(document(r))}[args.format]
     _emit(render(result), args.output)
@@ -78,6 +78,8 @@ def cmd_op(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
+    from . import laws
+
     # Only the flags given reach run_catalogue, which keeps its own defaults for the rest.
     given = {"law_ids": args.law, "seed": args.seed, "random_bounds": args.bounds}
     given = {name: value for name, value in given.items() if value is not None}
@@ -115,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_render(name, help, renderers):
-        # ``renderers`` is called when the command runs, so it sees the names bound then.
+    def add_render(name, help, *renderers):
+        # ``renderers`` name the package's functions, which are looked up when the command runs.
         p = sub.add_parser(name, help=help)
         p.add_argument("path", type=Path)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     add_render("table", "render the indicator-pair table",
-               lambda: (to_table, render_table_text, render_table_csv, table_document))
+               "to_table", "render_table_text", "render_table_csv", "table_document")
 
     p = sub.add_parser("op", help="apply an algebra operation to documents")
     p.add_argument("name", choices=_OPS)
@@ -137,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_op)
 
     add_render("decide", "score all objects and report the best",
-               lambda: (decision.decide, decision.render_scores_text,
-                        decision.render_scores_csv, decision.scores_document))
+               "decide", "render_scores_text", "render_scores_csv", "scores_document")
 
     p = sub.add_parser("check-laws", help="brute-force the law catalogue")
     p.add_argument("--law", action="append", help="check only this law id (repeatable)")

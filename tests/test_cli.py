@@ -429,6 +429,43 @@ def test_module_entry_point(fixtures_dir):
     assert proc.stdout.strip() == "valid: m=8 n=5 complete=false"
 
 
+# Runs ``python -m bipolarsoft ARGS`` as ``-m`` does, then prints the package's modules at exit.
+_LOADED_AT_EXIT = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('bipolarsoft')),"
+    " file=sys.__stderr__)); "
+    "runpy.run_module('bipolarsoft', run_name='__main__', alter_sys=True)"
+)
+_EVERY_COMMAND = ("cli", "codec", "core", "errors", "space")
+
+
+@pytest.mark.parametrize("args, modules", [
+    (None, ("errors",)),
+    (["validate", "house_example"], _EVERY_COMMAND),
+    (["table", "house_example"], (*_EVERY_COMMAND, "table")),
+    (["decide", "house_example"], (*_EVERY_COMMAND, "decision", "table")),
+    (["op", "union", "houses_a", "houses_c"], _EVERY_COMMAND),
+    (["op", "and", "houses_a", "houses_b"], (*_EVERY_COMMAND, "products")),
+    (["check-laws", "--law", "demorgan-union"], (*_EVERY_COMMAND, "laws", "products")),
+    (["check-laws", "--help"], _EVERY_COMMAND),
+], ids=["import", "validate", "table", "decide", "op-union", "op-and", "check-laws",
+        "check-laws-help"])
+def test_a_process_loads_only_the_modules_its_command_runs(fixtures_dir, args, modules):
+    if args is None:
+        script = ("import sys, bipolarsoft; "
+                  "print(*sorted(m for m in sys.modules if m.startswith('bipolarsoft')),"
+                  " file=sys.stderr)")
+        argv = []
+    else:
+        script = _LOADED_AT_EXIT
+        argv = [str(fixtures_dir / f"{arg}.bss.json") if arg.startswith("house") else arg
+                for arg in args]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert loaded == sorted(["bipolarsoft", *(f"bipolarsoft.{name}" for name in modules)])
+
+
 def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch):
     from bipolarsoft import laws
 
