@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Sequence
 
 from .core import BipolarSoftSet, _space_of
 from .errors import InvalidArgument, InvalidSpace, ParseError
@@ -42,9 +44,30 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _array(items: Sequence[str], indent: str) -> str:
+    """A JSON array of encoded items at ``indent``, as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
 def serialize(bss: BipolarSoftSet) -> str:
-    """Canonical text form; equal values yield byte-identical output."""
-    return _json_text(to_document(bss))
+    """Canonical text form; equal values yield byte-identical output.
+
+    The same bytes as ``_json_text(to_document(bss))``, written for the fixed schema with each
+    object id encoded once, as ``json.dumps(ensure_ascii=False)`` encodes a string."""
+    space = _space_of(bss)
+    ids = [encode_basestring(u) for u in space.universe]
+    pairs = [f'{{\n      "pos": {encode_basestring(p)},'
+             f'\n      "neg": {encode_basestring(q)}\n    }}'
+             for p, q in space.pairs]
+    rows = [f'{{\n      "param": {encode_basestring(e)},'
+            f'\n      "positive": {_array(pos, "      ")},'
+            f'\n      "negative": {_array(neg, "      ")}\n    }}'
+            for e, pos, neg in bss._assignment(ids) if pos or neg]
+    return (f'{{\n  "universe": {_array(ids, "  ")},\n  "pairs": {_array(pairs, "  ")},'
+            f'\n  "assignments": {_array(rows, "  ")}\n}}\n')
 
 
 def _expect_list(value, location: str) -> list:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DisjointnessViolation, InvalidArgument, SpaceMismatch, UnknownParameter
 from .space import ParameterSpace
@@ -45,6 +46,14 @@ def _pack(masks: tuple[int, ...], m: int) -> int:
         return masks[0]
     half = len(masks) // 2
     return _pack(masks[:half], m) | _pack(masks[half:], m) << half * m
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _cells(bits: int) -> bytes:
+    """Byte ``j`` is bit ``j`` of a non-negative ``bits`` as 0 or 1, up to its highest set bit."""
+    return bin(bits)[:1:-1].encode().translate(_BITS)
 
 
 def _unpack(bits: int, m: int, n: int) -> tuple[int, ...]:
@@ -172,12 +181,19 @@ class BipolarSoftSet:
         """Objects rejecting ``param`` (i.e. satisfying its negation), in universe order."""
         return self.space.members(self.neg_bits >> self._offset(param) & self.space.full_mask)
 
-    def _assignment(self) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    def _assignment(self, labels: Sequence[str] | None = None
+                    ) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
         """``(param, approving, rejecting)`` per positive parameter in space order, neutral ones
-        included.  Ids are read first: a space without them raises before any mask is unpacked."""
+        included; members are ``labels[i]`` for object ``i`` (the universe by default), in
+        universe order.  The one row decoder.  Ids are read first: a space without them raises
+        before any mask is unpacked."""
         space = self.space
-        return ((e, space.members(p), space.members(q))
-                for e, p, q in zip(space.positive_params, self.pos_masks, self.neg_masks))
+        params = space.positive_params
+        labels = space.universe if labels is None else labels
+        m = space.m
+        pos, neg = _cells(self.pos_bits), _cells(self.neg_bits)
+        return ((e, tuple(compress(labels, pos[k:k + m])), tuple(compress(labels, neg[k:k + m])))
+                for e, k in zip(params, range(0, m * len(params), m)))
 
     # -- order --------------------------------------------------------------
 

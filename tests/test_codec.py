@@ -2,10 +2,20 @@ import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipolarsoft import BipolarSoftSet, from_document, load, parse, serialize, to_document
+from bipolarsoft import (
+    BipolarSoftSet,
+    ParameterSpace,
+    and_product,
+    from_document,
+    load,
+    or_product,
+    parse,
+    serialize,
+    to_document,
+)
 from bipolarsoft.codec import dump
 from bipolarsoft.errors import (
     BipolarSoftError,
@@ -278,3 +288,62 @@ def test_parse_and_load_agree_on_non_utf8_bytes(encoding, tmp_path):
     assert str(parsed.value) == str(loaded.value)
     if encoding != "utf-8-sig":
         assert str(parsed.value).startswith("byte 0: not UTF-8 text (")
+
+
+# -- the canonical writer against json.dumps of the document
+
+# quotes, backslashes, C0 controls and DEL, the JSON-legal line separators, non-BMP text
+_ODD = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029",
+                       "\U0001f600", "é"])
+_ID_CHARS = st.characters(exclude_categories=("Cs",)) | _ODD  # a lone surrogate is no text
+# no ',' '(' or ')' in a parameter id, so the composite ids of a product never collide
+_PARAM_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters=",()") | _ODD
+
+
+@st.composite
+def _sets(draw):
+    """A set of 1 to 17 objects over 1 to 3 parameters, each cell drawn from one palette (so
+    a set may be all neutral, or only approve, or only reject), then up to two products deep."""
+    m, n = draw(st.integers(1, 17)), draw(st.integers(1, 3))
+    universe = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=3),
+                             min_size=m, max_size=m, unique=True))
+    params = draw(st.lists(st.text(_PARAM_CHARS, min_size=1, max_size=3),
+                           min_size=2 * n, max_size=2 * n, unique=True))
+    space = ParameterSpace(universe, params[:n], params[n:])
+    palette = draw(st.sampled_from([(-1, 0, 1), (0, 1), (-1, 0), (0,)]))
+    cells = draw(st.lists(st.lists(st.sampled_from(palette), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    value = BipolarSoftSet(space, *([sum(1 << i for i, c in enumerate(row) if c == side)
+                                     for row in cells] for side in (1, -1)))
+    for _ in range(draw(st.integers(0, 2))):
+        product = draw(st.sampled_from([and_product, or_product]))
+        value = product(value, draw(st.sampled_from([value, value.complement()])))
+    return value
+
+
+@settings(max_examples=150)
+@given(_sets())
+def test_serialize_writes_the_bytes_of_json_dumps(value):
+    assert serialize(value) == json.dumps(to_document(value), indent=2, ensure_ascii=False) + "\n"
+
+
+@given(_sets())
+def test_document_rows_match_the_member_accessors(value):
+    rows = {row["param"]: row for row in to_document(value)["assignments"]}
+    for e in value.space.positive_params:  # pos and neg decode through space.members
+        row = rows.pop(e, {"positive": [], "negative": []})
+        assert (row["positive"], row["negative"]) == (list(value.pos(e)), list(value.neg(e)))
+    assert rows == {}
+
+
+def test_serialize_writes_an_all_neutral_set_with_empty_assignments():
+    text = serialize(BipolarSoftSet.from_assignment(corpus.space3(), {}))
+    assert text.endswith('\n  "assignments": []\n}\n')
+
+
+def test_serialize_of_a_product_of_products_names_composite_parameters():
+    once = and_product(corpus.houses3_a(), corpus.houses3_b())
+    twice = and_product(once, once)
+    text = serialize(twice)
+    assert text == json.dumps(to_document(twice), indent=2, ensure_ascii=False) + "\n"
+    assert '"pos": "((e1,e1),(e1,e3))",\n      "neg": "((e2,e2),(e2,e4))"' in text
