@@ -49,11 +49,19 @@ def _pack(masks: tuple[int, ...], m: int) -> int:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_POS, _NEG = bytes.maketrans(b"\0\1\2", b"100"), bytes.maketrans(b"\0\1\2", b"010")
 
 
 def _cells(bits: int) -> bytes:
     """Byte ``j`` is bit ``j`` of a non-negative ``bits`` as 0 or 1, up to its highest set bit."""
     return bin(bits)[:1:-1].encode().translate(_BITS)
+
+
+def _packed(states: bytes) -> tuple[int, int]:
+    """Packed ``(pos, neg)`` ints from cell states in bit order: 0 approve, 1 reject, 2 neutral.
+    With ``_cells``, which reads a packed int back one byte per cell, the one cell codec."""
+    states = states[::-1]  # int() reads the highest bit first
+    return int(states.translate(_POS), 2), int(states.translate(_NEG), 2)
 
 
 def _unpack(bits: int, m: int, n: int) -> tuple[int, ...]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import BipolarSoftSet, _instance, _space_of
+from .errors import InvalidArgument
 from .table import _csv_rows, _text_rows
 
 
@@ -23,6 +25,25 @@ class DecisionResult:
     rows: tuple[ScoreRow, ...]
     max_score: int
     optimal: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        """The one check of what the renderers read; ``rows`` and ``optimal`` are stored as
+        tuples, as a frozen result must not change after its check."""
+        try:
+            rows, optimal = tuple(self.rows), tuple(self.optimal)
+        except TypeError:  # an int, say, where a sequence belongs
+            raise InvalidArgument("rows and optimal must be sequences") from None
+        for row in rows:
+            if not (isinstance(row, ScoreRow) and isinstance(row.object_id, str)
+                    and isinstance(row.c_plus, int) and isinstance(row.c_minus, int)
+                    and isinstance(row.score, int)):
+                raise InvalidArgument(f"expected a score row of an id and int counts, got {row!r}")
+        if isinstance(self.optimal, str) or not all(map(isinstance, optimal, repeat(str))):
+            raise InvalidArgument(f"expected a collection of object ids, got {self.optimal!r}")
+        if not isinstance(self.max_score, int):
+            raise InvalidArgument(f"max score must be an int, got {self.max_score!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "optimal", optimal)
 
 
 def scores(bss: BipolarSoftSet) -> tuple[ScoreRow, ...]:

@@ -14,8 +14,8 @@ a chunk's sets are built only if a law walks it.  A law leaves the run at its fi
 on either source, and an arity with no law left is drawn no further.  Each law's one
 ``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
 because the benchmark's tracer counts instances there.  Both sources pack lanes from cell
-states with ``_packed``: the pool's last two operands from ``_states``, a drawn chunk from
-its stream values mod 3.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ
+states with ``core._packed``: the pool's last two operands from ``_states``, a drawn chunk
+from its stream values mod 3.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ
 mod 2^64), so ``_splitmix_block`` computes a block at once, one value per 128-bit lane of an
 int: a lane times a 64-bit constant stays in its lane, and a mask drops what a right shift
 brings in from the next lane.  A chunk's instances of one size lie side by side in packed
@@ -57,7 +57,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
-from .core import BipolarSoftSet, _instance
+from .core import BipolarSoftSet, _instance, _packed
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
@@ -123,13 +123,6 @@ def _standard_space(m: int, n: int) -> ParameterSpace:
 
 _CHUNK = 1024  # random instances drawn and checked together: one chunk at the default count
 _BLOCK = 512  # stream values pulled at a time
-_POS, _NEG = bytes.maketrans(b"\0\1\2", b"100"), bytes.maketrans(b"\0\1\2", b"010")
-
-
-def _packed(states: bytes) -> tuple[int, int]:
-    """Packed ``(pos, neg)`` ints from cell states in bit order: 0 approve, 1 reject, 2 neutral."""
-    states = states[::-1]  # int() reads the highest bit first
-    return int(states.translate(_POS), 2), int(states.translate(_NEG), 2)
 
 
 def _operands(space, cells: bytes, starts: list[int], arity: int) -> tuple[BipolarSoftSet, ...]:

@@ -6,8 +6,9 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 
-from .core import BipolarSoftSet, _instance, _space_of
+from .core import BipolarSoftSet, _cells, _instance, _packed, _space_of
 from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
@@ -36,6 +37,10 @@ class CellValue(Enum):
         return cls((a, b))
 
 
+_STATES = tuple(CellValue)  # by cell state as ``_packed`` reads it: 0 approve, 1 reject, 2 neutral
+_BY_CODE = _STATES[::-1]  # by 2·pos + neg
+
+
 @dataclass(frozen=True)
 class TabularForm:
     """An m-by-n matrix of cells with object row labels and parameter-pair column labels."""
@@ -45,36 +50,53 @@ class TabularForm:
     cells: tuple[tuple[CellValue, ...], ...]
 
     def __post_init__(self) -> None:
+        """The one check of a table's labels and cells.  Fields are stored as tuples, as a
+        frozen table must not change after its check."""
+        if isinstance(self.row_labels, str):  # a str: one label per character
+            raise InvalidArgument(f"expected a collection of row labels, got {self.row_labels!r}")
         try:
-            height, width = len(self.row_labels), len(self.col_labels)
-            lengths = [len(row) for row in self.cells]
+            rows, cols = tuple(self.row_labels), tuple(self.col_labels)
+            cells = tuple(map(tuple, self.cells))
         except TypeError:  # an int, say, where a sequence belongs
             raise InvalidArgument("labels, cells and each row of cells must be sequences") from None
-        if len(lengths) != height:
-            raise DimensionMismatch(f"{height} row labels but {len(lengths)} cell rows")
-        for label, length in zip(self.row_labels, lengths):
-            if length != width:
-                raise DimensionMismatch(f"row {label!r} has {length} cells, expected {width}")
+        for label in rows:
+            if not isinstance(label, str):
+                raise InvalidArgument(f"row label {label!r} is not a string")
+        for pair in cols:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(e, str) for e in pair)):
+                raise InvalidArgument(f"column label {pair!r} is not a pair of parameter ids")
+        cols = tuple(map(tuple, cols))
+        if len(cells) != len(rows):
+            raise DimensionMismatch(f"{len(rows)} row labels but {len(cells)} cell rows")
+        for label, row in zip(rows, cells):
+            if len(row) != len(cols):
+                raise DimensionMismatch(f"row {label!r} has {len(row)} cells, expected {len(cols)}")
+        # isinstance, not a set: a CellValue hashes through Enum.__hash__, a Python function
+        if not all(map(isinstance, chain.from_iterable(cells), repeat(CellValue))):
+            label, pair, cell = next((label, pair, cell) for label, row in zip(rows, cells)
+                                     for pair, cell in zip(cols, row)
+                                     if not isinstance(cell, CellValue))
+            raise InvalidArgument(f"row {label!r}, column {pair!r}: {cell!r} is not a CellValue")
+        for name, value in zip(("row_labels", "col_labels", "cells"), (rows, cols, cells)):
+            object.__setattr__(self, name, value)
 
 
 def to_table(bss: BipolarSoftSet) -> TabularForm:
     """Encode a bipolar soft set as its indicator matrix; orders follow the space."""
     space = _space_of(bss)
-    columns = tuple(zip(bss.pos_masks, bss.neg_masks))
-    cells = []
-    for i in range(space.m):
-        bit = 1 << i
-        cells.append(tuple(
-            CellValue.POSITIVE if p & bit else CellValue.NEGATIVE if q & bit else CellValue.NEUTRAL
-            for p, q in columns
-        ))
-    return TabularForm(space.universe, space.pairs, tuple(cells))
+    m = space.m
+    # one byte per cell, 2·pos + neg: both ints decoded at once, as the bits are disjoint
+    codes = (2 * int.from_bytes(_cells(bss.pos_bits), "little")
+             + int.from_bytes(_cells(bss.neg_bits), "little")).to_bytes(m * space.n, "little")
+    cells = tuple(map(_BY_CODE.__getitem__, codes))  # parameter-major: object i's row is [i::m]
+    return TabularForm(space.universe, space.pairs, tuple(cells[i::m] for i in range(m)))
 
 
 def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
     """Decode an indicator matrix back into a bipolar soft set over ``space``.
 
-    Exact inverse of :func:`to_table` for tables it produced.
+    Exact inverse of :func:`to_table`; the cells were checked where the table was built.
     """
     if not (isinstance(table, TabularForm) and isinstance(space, ParameterSpace)):
         raise InvalidArgument(f"expected a table and a parameter space, got "
@@ -88,19 +110,8 @@ def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
         raise LabelMismatch("row labels do not match the universe")
     if table.col_labels != space.pairs:
         raise LabelMismatch("column labels do not match the space's parameter pairs")
-    pos = [0] * space.n
-    neg = [0] * space.n
-    for i, row in enumerate(table.cells):
-        bit = 1 << i
-        for j, cell in enumerate(row):
-            if cell is CellValue.POSITIVE:
-                pos[j] |= bit
-            elif cell is CellValue.NEGATIVE:
-                neg[j] |= bit
-            elif cell is not CellValue.NEUTRAL:
-                raise InvalidArgument(f"row {space.universe[i]!r}, column {space.pairs[j]!r}: "
-                                      f"{cell!r} is not a CellValue")
-    return BipolarSoftSet(space, tuple(pos), tuple(neg))
+    states = bytes(map(_STATES.index, chain.from_iterable(zip(*table.cells))))  # parameter-major
+    return BipolarSoftSet._closed(space, *_packed(states))
 
 
 def _text_rows(rows, right=()) -> str:

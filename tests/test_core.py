@@ -13,8 +13,10 @@ import bipolarsoft
 from bipolarsoft import (
     BipolarSoftSet,
     CellValue,
+    DecisionResult,
     LawReport,
     ParameterSpace,
+    ScoreRow,
     TabularForm,
     and_product,
     check_law,
@@ -286,6 +288,7 @@ def test_only_public_constructions_validate(monkeypatch):
     a | b, a & b, ~a, and_product(a, b), or_product(a, b)
     BipolarSoftSet.null(a.space), BipolarSoftSet.absolute(a.space)
     list(enumerate_bss(1, 2)), list(random_tuples(1, 5, 2))
+    from_table(to_table(a), a.space)  # the table's cells were checked where it was built
     assert validated == []
 
 
@@ -371,6 +374,21 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: CellValue((1, 1)),
     lambda: CellValue("x"),
     lambda: CellValue([1, 0]),
+    lambda: render_table_text(TabularForm(("a",), (("p", "q"),), (("x",),))),
+    lambda: render_table_csv(TabularForm(("a",), (("p", "q"),), (("x",),))),
+    lambda: table_document(TabularForm(("a",), (("p", "q"),), (("x",),))),
+    lambda: render_table_text(TabularForm((1,), (("p", "q"),), ((CellValue.NEUTRAL,),))),
+    lambda: render_table_csv(TabularForm(("a",), (5,), ((CellValue.NEUTRAL,),))),
+    lambda: table_document(TabularForm(("a",), (("p", "q", "r"),), ((CellValue.NEUTRAL,),))),
+    lambda: render_table_text(TabularForm("ab", (("p", "q"),), ((CellValue.NEUTRAL,),) * 2)),
+    lambda: TabularForm({"a": 1}, {"a": 1}, {"a": 1}),
+    lambda: from_table(TabularForm(("u1",), (5,), ((CellValue.NEUTRAL,),)), standard_space(1, 1)),
+    lambda: render_scores_text(DecisionResult((5,), 0, ())),
+    lambda: render_scores_csv(DecisionResult((5,), 0, ())),
+    lambda: scores_document(DecisionResult((5,), 0, ())),
+    lambda: render_scores_text(DecisionResult((ScoreRow(5, 0, 0, 0),), 0, ())),
+    lambda: render_scores_text(DecisionResult((), 0, (5,))),
+    lambda: render_scores_text(DecisionResult(5, 0, ())),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -397,6 +415,12 @@ def test_only_public_constructions_validate(monkeypatch):
         "render-table-csv-int", "table-document-int", "render-scores-text-int",
         "render-scores-csv-int", "scores-document-int", "recheck-int", "parse-int", "load-int",
         "cell-value-int", "cell-value-both", "cell-value-text", "cell-value-list",
+        "render-table-text-text-cell", "render-table-csv-text-cell", "table-document-text-cell",
+        "render-table-text-int-row-label", "render-table-csv-int-column-label",
+        "table-document-triple-column-label", "render-table-text-text-row-labels",
+        "table-dict-fields", "from-table-int-column-label", "render-scores-text-int-row",
+        "render-scores-csv-int-row", "scores-document-int-row", "render-scores-text-int-id",
+        "render-scores-text-int-optimal", "render-scores-text-int-rows",
         "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):

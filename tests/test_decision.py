@@ -1,4 +1,4 @@
-from bipolarsoft import BipolarSoftSet, decide, gen_bss, scores, to_table
+from bipolarsoft import BipolarSoftSet, DecisionResult, decide, gen_bss, scores, to_table
 from bipolarsoft.decision import render_scores_csv, render_scores_text, scores_document
 
 import corpus
@@ -112,3 +112,12 @@ def test_scores_document():
     assert doc["max_score"] == 2
     assert doc["optimal"] == ["u1"]
     assert doc["rows"][0] == {"object": "u1", "c_plus": 3, "c_minus": 1, "score": 2}
+
+
+def test_decision_result_stores_its_fields_as_tuples():
+    result = decide(corpus.house_ratings())
+    rows, optimal = list(result.rows), list(result.optimal)
+    rebuilt = DecisionResult(rows, result.max_score, optimal)
+    rows.clear(), optimal.clear()
+    assert rebuilt == result
+    assert render_scores_text(rebuilt) == render_scores_text(result)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bipolarsoft import (
     BipolarSoftSet,
+    CellValue,
     ParameterSpace,
     and_product,
     decide,
@@ -211,6 +212,37 @@ def test_decision_invariant_under_reordering(single, rng):
 def test_table_round_trip(single):
     (a,) = single
     assert from_table(to_table(a), a.space) == a
+
+
+# every state, then all neutral, approve only and reject only (states as in ``bss_tuples``)
+PALETTES = ((0, 1, 2), (2,), (0,), (1,))
+
+
+@st.composite
+def palette_sets(draw):
+    m = draw(st.integers(1, 17))
+    n = draw(st.integers(1, 5))
+    states = draw(st.lists(st.sampled_from(draw(st.sampled_from(PALETTES))),
+                           min_size=m * n, max_size=m * n))
+    pos = sum(1 << k for k, state in enumerate(states) if state == 0)
+    neg = sum(1 << k for k, state in enumerate(states) if state == 1)
+    return BipolarSoftSet(_space(m, n), pos, neg)
+
+
+@given(palette_sets())
+def test_table_cells_match_the_members_of_each_parameter(a):
+    table = to_table(a)
+    space = a.space
+    assert (table.row_labels, table.col_labels) == (space.universe, space.pairs)
+    for k, e in enumerate(space.positive_params):
+        approving, rejecting = set(a.pos(e)), set(a.neg(e))  # decoded by space.members
+        for i, u in enumerate(space.universe):
+            want = (CellValue.POSITIVE if u in approving else
+                    CellValue.NEGATIVE if u in rejecting else CellValue.NEUTRAL)
+            assert table.cells[i][k] is want
+    back = from_table(table, space)
+    assert back == a
+    assert type(back.pos_bits) is int and type(back.neg_bits) is int
 
 
 @given(bss_tuples())

@@ -1,7 +1,8 @@
 import pytest
 
-from bipolarsoft import BipolarSoftSet, CellValue, ParameterSpace, TabularForm, from_table, to_table
-from bipolarsoft.errors import DimensionMismatch, LabelMismatch
+from bipolarsoft import (BipolarSoftSet, CellValue, ParameterSpace, TabularForm, from_table,
+                         standard_space, to_table)
+from bipolarsoft.errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from bipolarsoft.table import render_table_csv, render_table_text, table_document
 
 import corpus
@@ -83,6 +84,27 @@ def test_tabular_form_rejects_ragged_cells():
         TabularForm(("a", "b"), (("p", "q"),), ((CellValue.NEUTRAL,),))
     with pytest.raises(DimensionMismatch):
         TabularForm(("a",), (("p", "q"),), ((CellValue.NEUTRAL, CellValue.NEUTRAL),))
+
+
+def test_tabular_form_names_the_first_bad_cell_in_row_major_order():
+    neutral = CellValue.NEUTRAL
+    with pytest.raises(InvalidArgument) as err:
+        TabularForm(("a", "b"), (("p", "q"), ("r", "s")), ((neutral, neutral), ((0, 1), "x")))
+    assert str(err.value) == "row 'b', column ('p', 'q'): (0, 1) is not a CellValue"
+
+
+def test_tabular_form_stores_its_fields_as_tuples():
+    positive = CellValue.POSITIVE
+    rows, cols, cells = ["u1"], [["e1", "not-e1"]], [[positive]]
+    table = TabularForm(rows, cols, cells)
+    assert table == TabularForm(("u1",), (("e1", "not-e1"),), ((positive,),))
+    rows.append("u2"), cols.append(["e2", "not-e2"]), cells[0].append(positive)
+    assert table == TabularForm(("u1",), (("e1", "not-e1"),), ((positive,),))
+    space = standard_space(1, 1)
+    assert from_table(table, space) == BipolarSoftSet.absolute(space)
+    # cells given once, as an iterator, are read once
+    once = TabularForm(("u1",), (("e1", "not-e1"),), iter([iter([positive])]))
+    assert from_table(once, space) == BipolarSoftSet.absolute(space)
 
 
 def test_render_text():
