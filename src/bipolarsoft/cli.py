@@ -44,40 +44,34 @@ def _check_writable(output: str) -> None:
         os.remove(output)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[str, int]:
     bss = codec.load(args.path)
     complete = "true" if bss.is_complete() else "false"
-    print(f"valid: m={bss.space.m} n={bss.space.n} complete={complete}")
-    return 0
+    return f"valid: m={bss.space.m} n={bss.space.n} complete={complete}\n", 0
 
 
-def cmd_render(args) -> int:
-    """``table`` and ``decide``: compute a result from one document and emit it in ``--format``."""
+def cmd_render(args) -> tuple[str, int]:
+    """``table`` and ``decide``: compute a result from one document, rendered in ``--format``."""
     compute, text, csv, document = (getattr(bipolarsoft, name) for name in args.renderers)
     result = compute(codec.load(args.path))
     render = {"text": text, "csv": csv, "json": lambda r: codec._json_text(document(r))}[args.format]
-    _emit(render(result), args.output)
-    return 0
+    return render(result), 0
 
 
-def cmd_op(args) -> int:
+def cmd_op(args) -> tuple[str | None, int]:
     op = _OPS[args.name]
     expected = op.__code__.co_argcount
     if len(args.paths) != expected:
-        print(
-            f"error: op {args.name} takes {expected} operand file(s), got {len(args.paths)}",
-            file=sys.stderr,
-        )
-        return 2
+        print(f"error: op {args.name} takes {expected} operand file(s), got {len(args.paths)}",
+              file=sys.stderr)
+        return None, 2
     result = op(*[codec.load(path) for path in args.paths])
     if isinstance(result, bool):
-        print("true" if result else "false")
-        return 0 if result else 1
-    _emit(codec.serialize(result), args.output)
-    return 0
+        return ("true\n", 0) if result else ("false\n", 1)
+    return codec.serialize(result), 0
 
 
-def cmd_check_laws(args) -> int:
+def cmd_check_laws(args) -> tuple[str, int]:
     from . import laws
 
     # Only the flags given reach run_catalogue, which keeps its own defaults for the rest.
@@ -87,12 +81,8 @@ def cmd_check_laws(args) -> int:
         given.update(exhaustive=args.exhaustive, random_count=args.random or 0)
     reports = laws.run_catalogue(**given)
     failures = [r.law_id for r in reports if r.must_hold and not r.holds]
-    doc = {
-        "laws": [r.to_json() for r in reports],
-        "must_hold_failures": failures,
-    }
-    _emit(codec._json_text(doc), args.output)
-    return 1 if failures else 0
+    doc = {"laws": [r.to_json() for r in reports], "must_hold_failures": failures}
+    return codec._json_text(doc), 1 if failures else 0
 
 
 def _int_at_least(low: int):
@@ -156,11 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = getattr(args, "output", None)
     try:
-        if getattr(args, "output", None):
-            _check_writable(args.output)
-        return args.func(args)
-    except OSError as exc:
+        if output:
+            _check_writable(output)
+        text, code = args.func(args)  # each command returns its text; None after a usage error
+        if text is not None:
+            _emit(text, output)
+        return code
+    except (OSError, UnicodeEncodeError) as exc:  # or a stdout that cannot encode the text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BipolarSoftError as exc:

@@ -144,12 +144,12 @@ def from_document(doc) -> BipolarSoftSet:
     return BipolarSoftSet.from_assignment(space, assignment)
 
 
-def parse(text: str | bytes) -> BipolarSoftSet:
-    """Decode document text produced by :func:`serialize` (or any valid variant)."""
+def _json_value(text: str | bytes):
+    """The JSON value of document text, ``bytes`` as strict UTF-8: parse's and load's one reader."""
     try:
         if isinstance(text, (bytes, bytearray)):
-            text = text.decode("utf-8")  # as load reads files; json.loads would sniff UTF-16/32
-        doc = json.loads(text)
+            text = text.decode("utf-8")  # json.loads would sniff UTF-16/32
+        return json.loads(text)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
@@ -160,7 +160,11 @@ def parse(text: str | bytes) -> BipolarSoftSet:
         raise ParseError("arrays or objects nested too deeply", "document") from None
     except TypeError:  # json.loads takes only str, bytes and bytearray
         raise InvalidArgument(f"expected document text, got {type(text).__name__}") from None
-    return from_document(doc)
+
+
+def parse(text: str | bytes) -> BipolarSoftSet:
+    """Decode document text produced by :func:`serialize` (or any valid variant)."""
+    return from_document(_json_value(text))
 
 
 def _not_a_path(value: object) -> InvalidArgument:
@@ -169,12 +173,10 @@ def _not_a_path(value: object) -> InvalidArgument:
 
 def load(path: str | bytes | Path) -> BipolarSoftSet:
     try:
-        text = Path(os.fsdecode(path)).read_text(encoding="utf-8")
+        data = Path(os.fsdecode(path)).read_bytes()
     except TypeError:  # os.fsdecode takes only str, bytes and os.PathLike
         raise _not_a_path(path) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from exc
-    return parse(text)
+    return from_document(_json_value(data))  # what parse(data) returns or raises
 
 
 def dump(bss: BipolarSoftSet, path: str | bytes | Path) -> None:

@@ -27,23 +27,42 @@ class DecisionResult:
     optimal: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        """The one check of what the renderers read; ``rows`` and ``optimal`` are stored as
-        tuples, as a frozen result must not change after its check."""
+        """The one check of what the renderers read: counts of type ``int`` (the text of a bool or
+        another int subclass need not be its digits), never negative, each score ``c_plus -
+        c_minus``, and ``max_score``/``optimal`` as ``decide`` derives them from the rows.
+        ``rows`` and ``optimal`` are stored as tuples, as a frozen result must not change after
+        its check."""
         try:
             rows, optimal = tuple(self.rows), tuple(self.optimal)
         except TypeError:  # an int, say, where a sequence belongs
             raise InvalidArgument("rows and optimal must be sequences") from None
         for row in rows:
             if not (isinstance(row, ScoreRow) and isinstance(row.object_id, str)
-                    and isinstance(row.c_plus, int) and isinstance(row.c_minus, int)
-                    and isinstance(row.score, int)):
+                    and type(row.c_plus) is type(row.c_minus) is type(row.score) is int):
                 raise InvalidArgument(f"expected a score row of an id and int counts, got {row!r}")
+            if row.c_plus < 0 or row.c_minus < 0:
+                raise InvalidArgument(f"expected counts of at least 0, got {row!r}")
+            if row.score != row.c_plus - row.c_minus:
+                raise InvalidArgument(f"expected score = c_plus - c_minus, got {row!r}")
         if isinstance(self.optimal, str) or not all(map(isinstance, optimal, repeat(str))):
             raise InvalidArgument(f"expected a collection of object ids, got {self.optimal!r}")
-        if not isinstance(self.max_score, int):
+        if type(self.max_score) is not int:
             raise InvalidArgument(f"max score must be an int, got {self.max_score!r}")
+        best, winners = _optimal(rows)
+        if rows and self.max_score != best:
+            raise InvalidArgument(f"max score {self.max_score} is not the largest score, {best}")
+        if optimal != winners:
+            raise InvalidArgument(f"optimal {optimal} is not the ids with the max score, {winners}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "optimal", optimal)
+
+
+def _optimal(rows) -> tuple[int | None, tuple[str, ...]]:
+    """The largest score of ``rows`` and the ids of the rows that have it, in row order, or
+    ``(None, ())`` for no rows: the one argmax rule, which ``decide`` applies and
+    ``DecisionResult`` checks."""
+    best = max((row.score for row in rows), default=None)
+    return best, tuple(row.object_id for row in rows if row.score == best)
 
 
 def scores(bss: BipolarSoftSet) -> tuple[ScoreRow, ...]:
@@ -64,9 +83,7 @@ def decide(bss: BipolarSoftSet) -> DecisionResult:
     Ties are never broken silently; the caller chooses among ``optimal``.
     """
     rows = scores(bss)
-    best = max(row.score for row in rows)
-    winners = tuple(row.object_id for row in rows if row.score == best)
-    return DecisionResult(rows, best, winners)
+    return DecisionResult(rows, *_optimal(rows))
 
 
 def render_scores_text(result: DecisionResult) -> str:

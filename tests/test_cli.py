@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -193,6 +194,32 @@ def test_op_equals(capsys, fixtures_dir):
     assert (code, out.strip()) == (0, "true")
     code, out, _ = run_cli(capsys, "op", "equals", a, b)
     assert (code, out.strip()) == (1, "false")
+
+
+@pytest.mark.parametrize("name, left, right, verdict, expected_code", [
+    ("subset", "houses_c", "houses_a", "true\n", 0),
+    ("equals", "houses_a", "houses_b", "false\n", 1),
+], ids=["subset-true", "equals-false"])
+def test_op_verdict_goes_to_the_output_file(capsys, fixtures_dir, tmp_path, name, left, right,
+                                            verdict, expected_code):
+    target = tmp_path / "verdict.txt"
+    code, out, err = run_cli(capsys, "op", name, str(fixtures_dir / f"{left}.bss.json"),
+                             str(fixtures_dir / f"{right}.bss.json"), "-o", str(target))
+    assert (code, out, err) == (expected_code, "", "")
+    assert target.read_bytes() == verdict.encode()
+
+
+def test_stdout_that_cannot_encode_the_text_exits_two(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "cafe.bss.json"
+    doc.write_text('{"universe": ["café"], "pairs": [{"pos": "e", "neg": "f"}], '
+                   '"assignments": []}', encoding="utf-8")
+    ascii_stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", ascii_stdout)
+    code, _, err = run_cli(capsys, "table", str(doc))
+    ascii_stdout.flush()
+    assert code == 2
+    assert ascii_stdout.buffer.getvalue() == b""
+    assert err.startswith("error: 'ascii' codec can't encode character") and err.count("\n") == 1
 
 
 def test_op_wrong_operand_count(capsys, fixtures_dir):

@@ -276,18 +276,35 @@ def test_parse_raises_only_package_errors(text):
     assert parse(serialize(value)) == value
 
 
-@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
-def test_parse_and_load_agree_on_non_utf8_bytes(encoding, tmp_path):
-    data = serialize(corpus.houses_a()).encode(encoding)
+_HOUSES_A = serialize(corpus.houses_a())
+_NO_COMMA = _HOUSES_A.replace('],\n  "pairs"', ']\n  "pairs"')  # a JSON error on line 12
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_HOUSES_A.encode("utf-16"), "byte 0: not UTF-8 text ("),
+    (_HOUSES_A.encode("utf-32"), "byte 0: not UTF-8 text ("),
+    (_HOUSES_A.encode("utf-8-sig"), "line 1 column 1: Unexpected UTF-8 BOM"),
+    (_HOUSES_A.replace("\n", "\r").encode(), corpus.houses_a()),
+    (_HOUSES_A.replace("\n", "\r\n").encode(), corpus.houses_a()),
+    # JSON error lines count LF only, so a file with CR line endings is one line
+    (_NO_COMMA.replace("\n", "\r").encode(), "line 1 column 104: Expecting ',' delimiter"),
+    (_NO_COMMA.replace("\n", "\r\n").encode(), "line 12 column 3: Expecting ',' delimiter"),
+], ids=["utf-16", "utf-32", "utf-8-sig", "cr-only", "crlf", "cr-only-json-error",
+        "crlf-json-error"])
+def test_parse_and_load_agree_on_non_utf8_bytes(data, expected, tmp_path):
     path = tmp_path / "doc.bss.json"
     path.write_bytes(data)
-    with pytest.raises(ParseError) as loaded:
-        load(path)
-    with pytest.raises(ParseError) as parsed:
-        parse(data)
-    assert str(parsed.value) == str(loaded.value)
-    if encoding != "utf-8-sig":
-        assert str(parsed.value).startswith("byte 0: not UTF-8 text (")
+    outcomes = []
+    for read, source in ((load, path), (parse, data)):
+        try:
+            outcomes.append(read(source))
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(expected, str):
+        assert outcomes[0].startswith(expected)
+    else:
+        assert outcomes[0] == expected
 
 
 # -- the canonical writer against json.dumps of the document

@@ -389,6 +389,17 @@ def test_only_public_constructions_validate(monkeypatch):
     lambda: render_scores_text(DecisionResult((ScoreRow(5, 0, 0, 0),), 0, ())),
     lambda: render_scores_text(DecisionResult((), 0, (5,))),
     lambda: render_scores_text(DecisionResult(5, 0, ())),
+    lambda: DecisionResult((ScoreRow("u", True, False, 1),), 1, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, True),), 1, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, 1),), True, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", -1, 0, -1),), -1, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 0, -1, 1),), 1, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 2, 1, 2),), 2, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, 1), ScoreRow("v", 0, 0, 0)), 0, ("v",)),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, 1), ScoreRow("v", 1, 0, 1)), 1, ("u",)),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, 1), ScoreRow("v", 0, 0, 0)), 1, ("u", "v")),
+    lambda: DecisionResult((ScoreRow("u", 1, 0, 1), ScoreRow("v", 1, 0, 1)), 1, ("v", "u")),
+    lambda: DecisionResult((), 0, ("u",)),
 ]] + [(call, BoundsTooLarge) for call in [
     lambda: list(random_tuples(1, 1, 1, 10 ** 6, 10 ** 6)),
     lambda: gen_bss(1, 10 ** 6, 10 ** 6),
@@ -421,6 +432,10 @@ def test_only_public_constructions_validate(monkeypatch):
         "table-dict-fields", "from-table-int-column-label", "render-scores-text-int-row",
         "render-scores-csv-int-row", "scores-document-int-row", "render-scores-text-int-id",
         "render-scores-text-int-optimal", "render-scores-text-int-rows",
+        "decision-bool-counts", "decision-bool-score", "decision-bool-max-score",
+        "decision-negative-c-plus", "decision-negative-c-minus", "decision-score-not-difference",
+        "decision-max-score-not-largest", "decision-optimal-missing-id",
+        "decision-optimal-extra-id", "decision-optimal-out-of-order", "decision-optimal-no-rows",
         "random-bounds-budget", "gen-bounds-budget",
         "random-arity-budget", "random-count-cap-when-called", "random-count-cap"])
 def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
