@@ -13,33 +13,34 @@ furthest back first, ``_CHUNK`` instances at a time, so memory does not grow wit
 a chunk's sets are built only if a law walks it.  A law leaves the run at its first failure
 on either source, and an arity with no law left is drawn no further.  Each law's one
 ``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
-because the benchmark's tracer counts instances there.  Both sources pack lanes from cell
-states with ``core._packed``: the pool's last two operands from ``_states``, a drawn chunk
-from its stream values mod 3.  The stream is splitmix64, whose value i is mix(seed + (i + 1)·γ
-mod 2^64), so ``_splitmix_block`` computes a block at once, one value per 128-bit lane of an
-int: a lane times a 64-bit constant stays in its lane, and a mask drops what a right shift
-brings in from the next lane.  A chunk's instances of one size lie side by side in packed
-lane sets, lane ``t`` holding one instance in ``m·n`` contiguous bits.  Union, intersection,
-complement, null and absolute act cell by cell, so one bigint operation evaluates a term on
-all lanes.  A product reads cell ``(i, k)`` of one operand and ``(i, l)`` of the other for
-its cell ``(i, (k, l))``, so row ``k`` of the and/or-product of two lane sets is a few
-bigint operations on all lanes; its n rows are stacked, each as wide as all the lanes.
+because the benchmark's tracer counts instances there.  The stream is splitmix64, whose value
+i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes a block at once, one
+value per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a
+mask drops what a right shift brings in from the next lane.
 
-A chunk passes a row when the row holds on every one-cell instance (the 3^arity
-tuples of sets over ``standard_space(1, 1)``, evaluated once per run) and its own
-evaluator, run on each lane group, returns None.  Run on lane sets, ``_differs`` finds
-no differing cell (or raises AttributeError, as naming a parameter needs ids) and
-``is_subset_of`` is the AND of the lanes, so an equation or order row fails a chunk
-with a failing lane.  An implication (subset transitivity) or a biconditional between
-whole-set predicates (the conditional excluded-middle rows' "absolute iff complete")
-run on lane sets is not the AND of its lanes, so the one-cell instances stand in for
-it: an m×n set is a direct product of m·n one-cell sets, so such a row holds on every
-set once it holds on every one-cell instance (Birkhoff 1935).  When a chunk does not
-pass, or the check raises AttributeError, the scalar evaluator walks it from its first
-instance to the first failure.  Counts and witnesses are the scalar check's only if
-every operation is lane-local (lane t of a result reads only lane t of the operands),
-as the lane groups assume, and cell-local, as the one-cell stand-in assumes.  Nothing
-checks either: the ``NONLOCAL_FAULTS`` of the tests pass ``run_catalogue`` in full.
+Each operand position of a chunk is one lane set packed from cell states by ``core._packed``,
+its instances side by side: the pool's, which depend only on its size and the arity, once
+per process (``_pool_lanes``); a drawn chunk's with instance i in its m_i·n_i cells in stream
+order, whatever its size, over a space with ``cells_mask`` alone.  Union, intersection,
+complement, null and absolute act cell by cell, so one bigint operation evaluates a term on
+all lanes.  A product's cell ``(i, (k, l))`` reads cell ``(i, k)`` of one operand and
+``(i, l)`` of the other, so its rows on lane sets of one size are a few bigint operations
+each.  On a mixed-size set it raises AttributeError, as any operation that reads ``m`` or
+``n`` does, and the row takes the chunk's size groups, built once per chunk if asked for.
+
+A chunk passes a row when the row holds on every one-cell instance (the 3^arity tuples of
+sets over ``standard_space(1, 1)``, evaluated once per run) and its own evaluator, run on the
+lane sets (or the size groups), returns None.  Run on lane sets, ``_differs`` finds no
+differing cell (or raises AttributeError, as naming a parameter needs ids) and
+``is_subset_of`` is the AND of the lanes, so an equation or order row fails a chunk with a
+failing lane.  An implication (subset transitivity) or a biconditional between whole-set
+predicates (the conditional excluded-middle rows' "absolute iff complete") is not the AND of
+its lanes, so the one-cell instances stand in for it: an m×n set is a direct product of m·n
+one-cell sets, so such a row holds on every set once it holds on every one-cell instance
+(Birkhoff 1935).  Else the scalar evaluator walks the chunk to its first failure.  Counts
+and witnesses are the scalar check's only if every operation is lane-local over instances
+of mixed sizes side by side (lane t of a result reads only lane t of the operands) and
+cell-local.  Nothing checks either: the tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
 break on any instance with a neutral cell.  Their corrected conditional forms must hold.
@@ -54,6 +55,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
@@ -125,18 +127,30 @@ _CHUNK = 1024  # random instances drawn and checked together: one chunk at the d
 _BLOCK = 512  # stream values pulled at a time
 
 
-def _operands(space, cells: bytes, starts: list[int], arity: int) -> tuple[BipolarSoftSet, ...]:
-    """One set per operand position over ``space``: its lane ``t`` holds that operand of the
-    instance whose cells begin at ``starts[t]`` (with one lane, a real set)."""
-    width = space.m * space.n
-    columns = (b"".join([cells[at + i:at + i + width] for at in starts])
-               for i in range(0, arity * width, width))
+def _operands(space, cells: bytes, starts: list, widths: list, arity: int) -> tuple:
+    """One set per operand position over ``space``, holding that operand of every instance t,
+    ``widths[t]`` cells from ``starts[t]`` on, side by side (with one instance, a real set)."""
+    lo, columns = starts, []
+    for _ in range(arity):  # operand j + 1 begins where operand j ends
+        hi = list(map(add, lo, widths))
+        columns.append(b"".join(map(cells.__getitem__, map(slice, lo, hi))))
+        lo = hi
     return tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
 
 
-def _instances(arity: int, cells: bytes, layout: list) -> Iterator[tuple[BipolarSoftSet, ...]]:
+def _instances(arity: int, cells: bytes, starts: list, sizes: list) -> Iterator[tuple]:
     """The operand tuples of one drawn chunk, each over its size's standard space."""
-    return (_operands(_standard_space(m, n), cells, [at], arity) for m, n, at in layout)
+    return (_operands(_standard_space(m, n), cells, [at], [m * n], arity)
+            for at, (m, n) in zip(starts, sizes))
+
+
+def _size_groups(arity: int, cells: bytes, starts: list, sizes: list) -> list[tuple]:
+    """One lane group per size of a drawn chunk, lane t holding that size's t-th instance."""
+    by_size: dict = {}
+    for at, size in zip(starts, sizes):
+        by_size.setdefault(size, []).append(at)
+    return [_operands(_LaneSpace(m, n, len(at)), cells, at, [m * n] * len(at), arity)
+            for (m, n), at in by_size.items()]
 
 
 def gen_bss(
@@ -154,7 +168,7 @@ def random_tuples(
     are checked by ``_check_random`` when called, before any value is drawn."""
     _check_random(seed, count, arity, max_m, max_n)
     return itertools.chain.from_iterable(
-        instances() for _, (_, instances, _) in _drawn(seed, count, max_m, max_n, (arity,)))
+        instances() for _, (_, instances, *_) in _drawn(seed, count, max_m, max_n, (arity,)))
 
 
 def _check_random(seed: int, count: int, arity: int, max_m: int, max_n: int) -> None:
@@ -384,11 +398,10 @@ _CATALOGUE = {law.law_id: law for law in _LAWS}
 
 
 class _LaneSpace:
-    """Sizes of a lane set of ``lanes`` m-by-n instances, without ids, which a real space
-    would build and check for every lane.  Only operations called inside this module ever
-    see it.  ``full_mask`` is block 0 of every lane, and ``_squared`` holds the n stacked
-    rows of a product; it has no ``full_mask``, so a product of a product raises
-    AttributeError.  ``cells_mask`` is built when read: a product's, n times as wide, seldom is."""
+    """Sizes of a lane set of ``lanes`` m-by-n instances, without the ids a real space would
+    build and check per lane; only this module's checks see it.  ``full_mask`` is block 0 of
+    every lane; ``_squared``, the n stacked rows of a product, has none, so a product of a
+    product raises AttributeError.  ``cells_mask`` is built when read, as a product's seldom is."""
 
     __slots__ = ("m", "n", "lanes", "full_mask", "_squared")
     cells_mask = property(lambda self: (1 << self.m * self.n * self.lanes) - 1)
@@ -398,6 +411,15 @@ class _LaneSpace:
         self.full_mask = self.cells_mask // ((1 << m * n) - 1) * ((1 << m) - 1)
         self._squared = squared = object.__new__(_LaneSpace)
         squared.m, squared.n, squared.lanes = m, n * n, lanes
+
+
+class _MixedLanes:
+    """A drawn chunk's lane set of mixed sizes: ``cells_mask`` alone, without sizes or ids."""
+
+    __slots__ = ("cells_mask",)
+
+    def __init__(self, cells: int) -> None:
+        self.cells_mask = (1 << cells) - 1
 
 
 class _Outcome(NamedTuple):
@@ -411,8 +433,8 @@ class _Outcome(NamedTuple):
 def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
     """``count`` instances of each arity while it is in ``arities``, as ``_sweep`` items of up
     to ``_CHUNK`` instances: two stream values give an instance's size, then one per cell its
-    state (the value mod 3).  Lane groups are packed from the states; only ``instances()``
-    builds sets.  Values below the arity furthest back, which is served first, are dropped."""
+    state (the value mod 3).  Each operand position is packed into one lane set of all sizes,
+    size groups only if asked.  Values below the arity furthest back, served first, are dropped."""
     block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
     sizing, states, base = array("Q"), bytearray(), 0
     cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
@@ -426,48 +448,52 @@ def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[t
     while live := [a for a in cursors if a in arities and left[a]]:
         arity = min(live, key=cursors.__getitem__)
         del sizing[:cursors[arity] - base], states[:cursors[arity] - base]  # read by no arity
-        base, at, layout, sizes = cursors[arity], 0, [], {}
+        base, at, starts, sizes = cursors[arity], 0, [], []
         for _ in range(min(_CHUNK, left[arity])):
-            fill(at + 2)
+            if len(sizing) < at + 2:
+                fill(at + 2)
             m, n = 1 + sizing[at] % max_m, 1 + sizing[at + 1] % max_n
-            layout.append((m, n, at + 2))
-            sizes.setdefault((m, n), []).append(at + 2)
+            starts.append(at + 2)
+            sizes.append((m, n))
             at += 2 + arity * m * n
         fill(at)
-        cursors[arity], left[arity] = base + at, left[arity] - len(layout)
-        cells = bytes(states[:at])
-        groups = [_operands(_LaneSpace(m, n, len(starts)), cells, starts, arity)
-                  for (m, n), starts in sizes.items()]  # lane t: the size's t-th instance
-        yield arity, (len(layout), partial(_instances, arity, cells, layout), groups)
+        cursors[arity], left[arity] = base + at, left[arity] - len(starts)
+        cells, widths = bytes(states[:at]), [m * n for m, n in sizes]
+        lanes = _operands(_MixedLanes(sum(widths)), cells, starts, widths, arity)
+        yield arity, (len(starts), partial(_instances, arity, cells, starts, sizes), lanes,
+                      lru_cache(maxsize=1)(partial(_size_groups, arity, cells, starts, sizes)))
 
 
-def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
-    """The ``arity``-tuples of the ``enumerate_bss`` pool in ``exhaustive_tuples`` order, as
-    one ``_sweep`` item per leading operand (if any): the last two operands packed from their
-    cell states, lane t holding their t-th tuple, and the leading one multiplied into every
-    lane of its chunk, which costs far less than packing a chunk-wide operand from bytes."""
-    k, size, (m, n) = min(arity, 2), len(pool), (pool[0].space.m, pool[0].space.n)
-    space, states = _LaneSpace(m, n, size ** k), list(_states(m * n))
+@lru_cache(maxsize=3)  # a default pass's three arities, about 0.5 MB; 2.6 MB at most each
+def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[BipolarSoftSet, ...], ...]:
+    """``_pooled``'s lane sets, values only, never verdicts: the last two operands packed from
+    cell states, lane t their t-th tuple, each leading one multiplied into every lane."""
+    k, states = min(arity, 2), list(_states(m * n))
+    size, space = len(states), _LaneSpace(m, n, len(states) ** k)
     ones = space.cells_mask // ((1 << m * n) - 1)  # bit 0 of every lane
     tail = tuple(BipolarSoftSet._closed(space, *_packed(
         b"".join(s * size ** (k - 1 - j) for s in states) * size ** j)) for j in range(k))
+    return tuple(tuple(BipolarSoftSet._closed(space, pos * ones, neg * ones) for pos, neg in head)
+                 + tail for head in itertools.product(map(_packed, states), repeat=arity - k))
 
-    def instances(head: tuple) -> Iterator[tuple]:
-        return (head + rest for rest in itertools.product(pool, repeat=k))
 
-    for head in itertools.product(pool, repeat=arity - k):
-        lanes = tuple(BipolarSoftSet._closed(space, h.pos_bits * ones, h.neg_bits * ones)
-                      for h in head)
-        yield arity, (space.lanes, partial(instances, head), [lanes + tail])
+def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
+    """The pool's ``arity``-tuples in ``exhaustive_tuples`` order, as one ``_sweep`` item per
+    leading operand (if any), its lanes from ``_pool_lanes``."""
+    k, space = min(arity, 2), pool[0].space
+    for head, lanes in zip(itertools.product(pool, repeat=arity - k),
+                           _pool_lanes(space.m, space.n, arity)):
+        yield arity, (len(pool) ** k, partial(itertools.product, *zip(head), *[pool] * k),
+                      lanes, None)  # instances(): the head, then each k-tuple of the pool
 
 
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
     """Each law in ``pending`` (laws by arity, left by each law that fails and each arity with
     none left, whose chunks are then skipped) on one stream of chunks from every source.  An
-    item is ``(arity, (count, instances, groups))``: ``instances()`` iterates the chunk's
-    ``count`` instances, and ``groups`` holds them packed, one lane set per operand position
-    in each group.  A law passes a chunk if it holds on every one-cell instance and lane group;
-    else, or if that raises AttributeError, the scalar evaluator walks it to its first failure."""
+    item is ``(arity, (count, instances, lanes, groups))``: ``instances()`` iterates the chunk's
+    ``count`` instances, and ``lanes`` (``groups()`` by size, if not None) holds them packed, one
+    lane set per operand position.  A law passes a chunk if it holds on every one-cell instance
+    and on the lanes (the groups, if those raise); else the scalar evaluator walks it."""
     space = standard_space(1, 1)
     cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
@@ -476,13 +502,17 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     outcomes: dict = {}
     offsets = dict.fromkeys(pending, 0)  # per arity, the instances before its next chunk
     while pending and (item := next(items, None)) is not None:
-        arity, (count, instances, groups) = item
-        for law in pending.get(arity, ()):  # a dead arity's chunk costs only its head lanes
+        arity, (count, instances, lanes, groups) = item
+        for law in pending.get(arity, ()):  # none for a dead arity: its chunk is skipped
             try:
-                if one_cell[law.law_id] and all(law.evaluate(*lanes) is None for lanes in groups):
+                if one_cell[law.law_id] and law.evaluate(*lanes) is None:
                     continue
-            except AttributeError:  # a witness or an operation read ids, or a product was nested
-                pass
+            except AttributeError:  # an operation read the sizes a mixed-size set lacks, or ids
+                try:
+                    if groups and all(law.evaluate(*group) is None for group in groups()):
+                        continue
+                except AttributeError:  # a witness read ids, or a product was nested
+                    pass
             for i, operands in enumerate(instances()):
                 if law.evaluate(*operands) is not None:
                     outcomes[law.law_id] = _Outcome(offsets[arity] + i, (operands,))

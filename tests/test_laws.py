@@ -828,10 +828,11 @@ def _assert_lanes_hold(group, tuples):
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
     walked = []
-    for item_arity, (count, instances, [group]) in laws_module._pooled(
+    for item_arity, (count, instances, group, groups) in laws_module._pooled(
             list(enumerate_bss(*pool)), arity):
         tuples = list(instances())
         assert item_arity == arity and len(tuples) == count and len(group) == arity
+        assert groups is None  # the pool's lanes have sizes: nothing to fall back to
         _assert_lanes_hold(group, tuples)
         walked += tuples
     assert walked == list(exhaustive_tuples(*pool, arity))
@@ -840,7 +841,9 @@ def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
 def test_drawn_lanes_hold_the_instances_their_chunk_walks(monkeypatch):
     monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
     walked = {arity: [] for arity in (1, 2, 3)}
-    for arity, (count, instances, groups) in laws_module._drawn(5, 50, 3, 2, tuple(walked)):
+    for arity, (count, instances, _, size_groups) in laws_module._drawn(
+            5, 50, 3, 2, tuple(walked)):
+        groups = size_groups()
         tuples, by_size = list(instances()), {}  # by_size: each size's instances in order
         for operands in tuples:
             by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(operands)
@@ -852,6 +855,89 @@ def test_drawn_lanes_hold_the_instances_their_chunk_walks(monkeypatch):
         walked[arity] += tuples
     for arity, tuples in walked.items():
         assert tuples == list(random_tuples(5, 50, arity, 3, 2))
+
+
+def test_a_drawn_chunk_packs_every_size_side_by_side(monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
+    for arity, (count, instances, lanes, _) in laws_module._drawn(5, 50, 3, 2, (1, 2, 3)):
+        tuples = list(instances())
+        assert len(tuples) == count and len(lanes) == arity
+        # operand j of instance t sits at the running offset of the instances before it
+        offset = 0
+        for operands in tuples:
+            width = operands[0].space.m * operands[0].space.n
+            assert [tuple(bits >> offset & (1 << width) - 1
+                          for bits in (lane_set.pos_bits, lane_set.neg_bits))
+                    for lane_set in lanes] == [(o.pos_bits, o.neg_bits) for o in operands]
+            offset += width
+        assert {lane_set.space.cells_mask for lane_set in lanes} == {(1 << offset) - 1}
+
+
+def test_a_mixed_size_lane_set_has_no_sizes():
+    (_, (_, _, lanes, _)), = laws_module._drawn(5, 50, 3, 2, (2,))
+    assert lanes[0].space is lanes[1].space  # so the lattice operations accept them
+    for name in ("m", "n", "full_mask"):
+        with pytest.raises(AttributeError):
+            getattr(lanes[0].space, name)
+    with pytest.raises(AttributeError):  # a product reads the sizes
+        and_product(*lanes)
+
+
+def test_a_fault_that_reads_sizes_falls_back_to_size_groups_then_one_at_a_time(monkeypatch):
+    union, seen = BipolarSoftSet.union, set()
+
+    def losing_the_first_parameter_on_three_objects(a, b):  # lane- and cell-local
+        joined = union(a, b)
+        seen.add(type(a.space).__name__)
+        if a.space.m == 3:  # a mixed-size set has no m: AttributeError
+            return BipolarSoftSet._closed(joined.space, joined.pos_bits & ~a.space.full_mask,
+                                          joined.neg_bits)
+        return joined
+
+    monkeypatch.setattr(BipolarSoftSet, "union", losing_the_first_parameter_on_three_objects)
+    law_ids = ["union-idempotent", "union-null-identity", "union-absolute-absorbing",
+               "union-commutative", "union-absorption", "demorgan-intersection"]
+    fast = run_catalogue(law_ids=law_ids, exhaustive=(1, 1), random_count=300, seed=4)
+    scalar = [check_law(law_id, itertools.chain(
+        exhaustive_tuples(1, 1, get_law(law_id).arity),
+        random_tuples(4, 300, get_law(law_id).arity))) for law_id in law_ids]
+    assert fast == scalar
+    assert {report.holds for report in fast} == {True, False}
+    assert all(len(report.counterexample["operands"][0]["universe"]) == 3
+               for report in fast if not report.holds)
+    # the mixed-size set raised, the size groups flagged, the scalar walk found the witness
+    assert seen == {"_MixedLanes", "_LaneSpace", "ParameterSpace"}
+
+
+def test_only_the_product_rows_ask_for_size_groups(monkeypatch):
+    built = []
+    size_groups = laws_module._size_groups
+
+    def counted(arity, *args):
+        built.append(arity)
+        return size_groups(arity, *args)
+
+    monkeypatch.setattr(laws_module, "_size_groups", counted)
+    run_catalogue()
+    assert built == [2]  # once, for the binary chunk, which the two product rows share
+    built.clear()
+    run_catalogue(law_ids=[law.law_id for law in catalogue() if "product" not in law.law_id])
+    assert built == []
+
+
+def test_the_pool_lanes_are_built_once_and_hold_no_verdicts(monkeypatch):
+    laws_module._pool_lanes.cache_clear()
+    assert run_catalogue() == run_catalogue()
+    info = laws_module._pool_lanes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)  # one entry per arity
+    # a fault patched in after a clean run is found on the cached lanes
+    law_ids = ["union-idempotent", "union-commutative", "union-absorption",
+               "distributive-intersection-over-union"]
+    monkeypatch.setattr(*CELLWISE_FAULTS[0])
+    fast = run_catalogue(law_ids=law_ids, exhaustive=(2, 2), random_count=0)
+    assert laws_module._pool_lanes.cache_info().misses == 3
+    assert fast == _scalar_reports_on_the_pool(law_ids)
+    assert not all(report.holds for report in fast)
 
 
 def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
@@ -878,7 +964,7 @@ def test_a_repeated_law_id_is_swept_once(monkeypatch):
 
     single, once = run(["union-idempotent"])
     double, twice = run(["union-idempotent"] * 2)
-    assert once == twice == 3 + 1 + 22  # one-cell sets, the pool chunk, the draw's 22 sizes
+    assert once == twice == 3 + 1 + 1  # one-cell sets, the pool chunk, the drawn chunk
     assert double == single * 2
     mixed, _ = run(["union-idempotent", "union-commutative", "union-idempotent"])
     assert mixed == [single[0], run(["union-commutative"])[0][0], single[0]]
