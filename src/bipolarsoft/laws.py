@@ -7,26 +7,29 @@ either holds on every supplied instance or the check stops at the first countere
 which is stored in serialized form so the violation can be replayed later.
 
 ``run_catalogue`` checks its laws in one sweep over one stream of chunks: each arity's
-exhaustive pool, one chunk per leading operand (if any) in ``exhaustive_tuples`` order, then
-the random draw, where every arity reads one seeded stream from its start, the arity
-furthest back first, ``_CHUNK`` instances at a time, so memory does not grow with the count;
-a chunk's sets are built only if a law walks it.  A law leaves the run at its first failure
-on either source, and an arity with no law left is drawn no further.  Each law's one
-``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
-because the benchmark's tracer counts instances there.  The stream is splitmix64, whose value
-i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes a block at once, one
-value per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a
-mask drops what a right shift brings in from the next lane.
+exhaustive pool in ``exhaustive_tuples`` order, ``_POOL_LANES`` consecutive tuples at a time
+(all, if fewer), then the random draw, where every arity reads one seeded stream from its
+start, the arity furthest back first, ``_CHUNK`` instances at a time, so memory does not grow
+with the count; a chunk's sets are built only if a law walks it.  A law leaves the run at its
+first failure on either source, and an arity with no law left is drawn no further.  Each
+law's one ``_Outcome`` becomes its report in ``check_law``, kept the only builder of a
+``LawReport`` because the benchmark's tracer counts instances there.  The stream is
+splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes
+a block at once, one value per 128-bit lane of an int: a lane times a 64-bit constant stays
+in its lane, and a mask drops what a right shift brings in from the next lane.
 
-Each operand position of a chunk is one lane set packed from cell states by ``core._packed``,
-its instances side by side: the pool's, which depend only on its size and the arity, once
-per process (``_pool_lanes``); a drawn chunk's with instance i in its m_i·n_i cells in stream
-order, whatever its size, over a space with ``cells_mask`` alone.  Union, intersection,
-complement, null and absolute act cell by cell, so one bigint operation evaluates a term on
-all lanes.  A product's cell ``(i, (k, l))`` reads cell ``(i, k)`` of one operand and
-``(i, l)`` of the other, so its rows on lane sets of one size are a few bigint operations
-each.  On a mixed-size set it raises AttributeError, as any operation that reads ``m`` or
-``n`` does, and the row takes the chunk's size groups, built once per chunk if asked for.
+Each operand position of a chunk is one lane set, its instances side by side.  The pool's
+depend only on its size and the arity, and are built once per process (``_pool_lanes``) by
+shifts and products of its packed sets, each shared by every batch that holds the same sets
+in that position.  A drawn chunk's hold instance i in its m_i·n_i cells in stream order,
+whatever its size, over a space with ``cells_mask`` alone; each is gathered from the chunk's
+cell states by a few byte operations (``_columns``) and packed by ``core._packed``.  Union,
+intersection, complement, null and absolute act cell by cell, so one bigint operation
+evaluates a term on all lanes.  A product's cell ``(i, (k, l))`` reads cell ``(i, k)`` of one
+operand and ``(i, l)`` of the other, so its rows on lane sets of one size are a few bigint
+operations each.  On a mixed-size set it raises AttributeError, as any operation that reads
+``m`` or ``n`` does, and the row takes the chunk's size groups, built once per chunk if asked
+for.
 
 A chunk passes a row when the row holds on every one-cell instance (the 3^arity tuples of
 sets over ``standard_space(1, 1)``, evaluated once per run) and its own evaluator, run on the
@@ -59,7 +62,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
-from .core import BipolarSoftSet, _instance, _packed
+from .core import BipolarSoftSet, _instance, _pack, _packed
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
@@ -168,7 +171,7 @@ def random_tuples(
     are checked by ``_check_random`` when called, before any value is drawn."""
     _check_random(seed, count, arity, max_m, max_n)
     return itertools.chain.from_iterable(
-        instances() for _, (_, instances, *_) in _drawn(seed, count, max_m, max_n, (arity,)))
+        _instances(*chunk) for chunk in _chunks(seed, count, max_m, max_n, (arity,)))
 
 
 def _check_random(seed: int, count: int, arity: int, max_m: int, max_n: int) -> None:
@@ -430,11 +433,12 @@ class _Outcome(NamedTuple):
     failing: tuple = ()
 
 
-def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
-    """``count`` instances of each arity while it is in ``arities``, as ``_sweep`` items of up
-    to ``_CHUNK`` instances: two stream values give an instance's size, then one per cell its
-    state (the value mod 3).  Each operand position is packed into one lane set of all sizes,
-    size groups only if asked.  Values below the arity furthest back, served first, are dropped."""
+def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
+    """``count`` instances of each arity while it is in ``arities``, up to ``_CHUNK`` at a time,
+    as ``(arity, cells, starts, sizes)``: two stream values give an instance's size, then one
+    per cell its state (the value mod 3).  ``cells`` holds the chunk's values mod 3, instance t
+    from ``starts[t] - 2`` on: its two size values, then its operands one after another.
+    Values below the arity furthest back, served first, are dropped."""
     block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
     sizing, states, base = array("Q"), bytearray(), 0
     cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
@@ -458,33 +462,93 @@ def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[t
             at += 2 + arity * m * n
         fill(at)
         cursors[arity], left[arity] = base + at, left[arity] - len(starts)
-        cells, widths = bytes(states[:at]), [m * n for m, n in sizes]
-        lanes = _operands(_MixedLanes(sum(widths)), cells, starts, widths, arity)
+        yield arity, bytes(states[:at]), starts, sizes
+
+
+_KEEP, _DROP = bytes.maketrans(b"\1\3\5", b"\0\1\2"), b"\0\2\4"  # a marked state s is 2s + 1
+
+
+def _columns(cells: bytes, widths: list, arity: int) -> Iterator[bytes]:
+    """Each operand position's cells of a ``_chunks`` chunk, instance after instance: a mask
+    joined from one piece per instance marks the position's cells in bit 0 of the doubled
+    states, and one ``translate`` drops the rest and halves what it keeps."""
+    doubled = int.from_bytes(cells, "little") << 1  # a state is at most 2, so no byte carries
+    distinct = set(widths)
+    for j in range(arity):
+        pieces = {w: bytes(2 + j * w) + b"\1" * w + bytes((arity - 1 - j) * w) for w in distinct}
+        mask = int.from_bytes(b"".join(map(pieces.__getitem__, widths)), "little")
+        yield (doubled | mask).to_bytes(len(cells), "little").translate(_KEEP, _DROP)
+
+
+def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
+    """``_chunks`` as ``_sweep`` items: each operand position packed into one lane set of all
+    sizes, instance t in its m_t·n_t cells in stream order, size groups only if asked."""
+    for arity, cells, starts, sizes in _chunks(seed, count, max_m, max_n, arities):
+        widths = [m * n for m, n in sizes]
+        space = _MixedLanes(sum(widths))
+        lanes = tuple(BipolarSoftSet._closed(space, *_packed(column))
+                      for column in _columns(cells, widths, arity))
         yield arity, (len(starts), partial(_instances, arity, cells, starts, sizes), lanes,
                       lru_cache(maxsize=1)(partial(_size_groups, arity, cells, starts, sizes)))
 
 
-@lru_cache(maxsize=3)  # a default pass's three arities, about 0.5 MB; 2.6 MB at most each
-def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[BipolarSoftSet, ...], ...]:
-    """``_pooled``'s lane sets, values only, never verdicts: the last two operands packed from
-    cell states, lane t their t-th tuple, each leading one multiplied into every lane."""
-    k, states = min(arity, 2), list(_states(m * n))
-    size, space = len(states), _LaneSpace(m, n, len(states) ** k)
-    ones = space.cells_mask // ((1 << m * n) - 1)  # bit 0 of every lane
-    tail = tuple(BipolarSoftSet._closed(space, *_packed(
-        b"".join(s * size ** (k - 1 - j) for s in states) * size ** j)) for j in range(k))
-    return tuple(tuple(BipolarSoftSet._closed(space, pos * ones, neg * ones) for pos, neg in head)
-                 + tail for head in itertools.product(map(_packed, states), repeat=arity - k))
+# Lanes per pool batch: 9 leading operands of the 2×2 pool's ternary laws, about 30 KB an int.
+# Fewer lanes pay more calls per row, more lanes miss the cache: the ternary laws on the pool
+# took 2.38, 1.53, 1.25, 1.19 and 2.19 ms with 1, 3, 9, 27 and 81 leading operands a batch,
+# and 27 would hold 1.04 MB of lanes against 0.71 MB.  A power of 3, as every pool's size
+# is, so every batch is full.
+_POOL_LANES = 3 ** 10
+
+
+def _tiled(bits: int, width: int, times: int) -> int:
+    """``times`` copies of ``width``-bit ``bits``, copy i at bit i·width, doubling as it goes."""
+    tiled = 0
+    while times:
+        if times & 1:
+            tiled = tiled << width | bits
+        bits |= bits << width
+        width *= 2
+        times >>= 1
+    return tiled
+
+
+@lru_cache(maxsize=3)  # a default pass's three arities, about 0.7 MB; 1.8 MB at most each
+def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[tuple, tuple], ...]:
+    """``_pooled``'s batches, values only, never verdicts: up to ``_POOL_LANES`` consecutive
+    ``exhaustive_tuples`` each, as the slice of the pool each operand takes (the batch is their
+    product) and one lane set per operand, lane t its batch's t-th tuple.  All batches share
+    one space, and each operand's lane set is built once for every batch it serves."""
+    cells = m * n
+    size = 3 ** cells
+    space = _LaneSpace(m, n, min(_POOL_LANES, size ** arity))
+    lanes = space.lanes
+    every = _packed(b"".join(_states(cells)))  # the pool's cells, set d at cell d·cells
+
+    @lru_cache(maxsize=None)
+    def column(stride: int, first: int) -> tuple:  # an operand that steps every stride tuples
+        rep = min(stride, lanes)  # lanes per set, and sets per batch, from set ``first`` on
+        k, ones = min(size, lanes // rep), _tiled(1, cells, rep)
+        sides = []
+        for bits in every:
+            window = bits >> first * cells & (1 << k * cells) - 1
+            if rep > 1:  # each set across its rep lanes, by products, not by one wide division
+                window = _pack(tuple((window >> d * cells & (1 << cells) - 1) * ones
+                                     for d in range(k)), cells * rep)
+            sides.append(_tiled(window, cells * rep * k, lanes // (rep * k)))
+        return slice(first, first + k), BipolarSoftSet._closed(space, *sides)
+
+    strides = [size ** (arity - 1 - j) for j in range(arity)]
+    return tuple(tuple(zip(*(column(stride, start // stride % size) for stride in strides)))
+                 for start in range(0, size ** arity, lanes))
 
 
 def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
     """The pool's ``arity``-tuples in ``exhaustive_tuples`` order, as one ``_sweep`` item per
-    leading operand (if any), its lanes from ``_pool_lanes``."""
-    k, space = min(arity, 2), pool[0].space
-    for head, lanes in zip(itertools.product(pool, repeat=arity - k),
-                           _pool_lanes(space.m, space.n, arity)):
-        yield arity, (len(pool) ** k, partial(itertools.product, *zip(head), *[pool] * k),
-                      lanes, None)  # instances(): the head, then each k-tuple of the pool
+    batch of ``_pool_lanes``."""
+    space = pool[0].space
+    for spans, lanes in _pool_lanes(space.m, space.n, arity):
+        yield arity, (lanes[0].space.lanes,
+                      partial(itertools.product, *(pool[span] for span in spans)), lanes, None)
 
 
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:

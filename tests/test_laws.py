@@ -541,7 +541,8 @@ def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
     monkeypatch.setattr(BipolarSoftSet, "union", lambda a, b: calls.append(1) or union(a, b))
     report = run_catalogue(law_ids=["union-associative"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 3)
-    assert len(calls) == (81 + 3 ** 3) * 4  # four per batch of 81² triples and per one-cell triple
+    # four per batch of 9 × 81² triples and per one-cell triple
+    assert len(calls) == (9 + 3 ** 3) * 4
 
 
 def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
@@ -824,10 +825,10 @@ def _assert_lanes_hold(group, tuples):
 
 # A law that holds cannot see a mis-packed lane (counts come from a chunk's count, not its
 # lanes), so the packing of both sources is checked against the instances a chunk walks.
-@pytest.mark.parametrize("pool", [(1, 1), (1, 2), (2, 1), (1, 3)])
-@pytest.mark.parametrize("arity", [1, 2, 3])
-def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
-    walked = []
+def _walk_pool(pool, arity):
+    """Every batch's tuples of the pool, each batch checked against its lanes; and the count
+    of batches."""
+    walked, batches = [], 0
     for item_arity, (count, instances, group, groups) in laws_module._pooled(
             list(enumerate_bss(*pool)), arity):
         tuples = list(instances())
@@ -835,7 +836,35 @@ def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
         assert groups is None  # the pool's lanes have sizes: nothing to fall back to
         _assert_lanes_hold(group, tuples)
         walked += tuples
+        batches += 1
+    return walked, batches
+
+
+@pytest.mark.parametrize("pool", [(1, 1), (1, 2), (2, 1), (1, 3)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_pool_lanes_hold_the_instances_their_chunk_walks(pool, arity):
+    walked, batches = _walk_pool(pool, arity)
     assert walked == list(exhaustive_tuples(*pool, arity))
+    assert batches == 1  # at most 3^9 tuples: one batch
+
+
+@pytest.mark.parametrize("pool, arity, lanes, batches", [
+    ((1, 2), 3, 3 ** 5, 3),  # 3 of the 9 first operands a batch, each with every pair
+    ((1, 1), 3, 3 ** 2, 3),  # one first operand a batch, with every pair
+    ((2, 1), 2, 3 ** 3, 3),  # 3 of the 9 first operands, each with every set
+    ((1, 3), 1, 3 ** 2, 3),  # 9 of the 27 sets
+    ((1, 2), 3, 3, 243),  # one first and one second operand, with 3 of the 9 last ones
+])
+def test_pool_batches_of_a_lowered_lane_budget_hold_their_tuples(
+        pool, arity, lanes, batches, monkeypatch):
+    monkeypatch.setattr(laws_module, "_POOL_LANES", lanes)
+    laws_module._pool_lanes.cache_clear()
+    try:
+        walked, built = _walk_pool(pool, arity)
+    finally:
+        laws_module._pool_lanes.cache_clear()  # drop the entries of the lowered budget
+    assert walked == list(exhaustive_tuples(*pool, arity))
+    assert built == batches
 
 
 def test_drawn_lanes_hold_the_instances_their_chunk_walks(monkeypatch):
@@ -857,9 +886,9 @@ def test_drawn_lanes_hold_the_instances_their_chunk_walks(monkeypatch):
         assert tuples == list(random_tuples(5, 50, arity, 3, 2))
 
 
-def test_a_drawn_chunk_packs_every_size_side_by_side(monkeypatch):
-    monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
-    for arity, (count, instances, lanes, _) in laws_module._drawn(5, 50, 3, 2, (1, 2, 3)):
+def _assert_drawn_side_by_side(total, bounds, arities):
+    walked = {arity: [] for arity in arities}
+    for arity, (count, instances, lanes, _) in laws_module._drawn(5, total, *bounds, arities):
         tuples = list(instances())
         assert len(tuples) == count and len(lanes) == arity
         # operand j of instance t sits at the running offset of the instances before it
@@ -871,6 +900,30 @@ def test_a_drawn_chunk_packs_every_size_side_by_side(monkeypatch):
                     for lane_set in lanes] == [(o.pos_bits, o.neg_bits) for o in operands]
             offset += width
         assert {lane_set.space.cells_mask for lane_set in lanes} == {(1 << offset) - 1}
+        walked[arity] += tuples
+    for arity, tuples in walked.items():
+        assert tuples == list(_reference_tuples(5, total, arity, *bounds)), arity
+
+
+def test_a_drawn_chunk_packs_every_size_side_by_side(monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
+    _assert_drawn_side_by_side(50, (3, 2), (1, 2, 3))
+
+
+def test_a_drawn_chunk_of_any_arity_packs_every_operand_side_by_side(monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 16)  # so that 50 instances span four chunks
+    _assert_drawn_side_by_side(50, (4, 3), (1, 2, 3, 4, 5, 6))
+
+
+def test_random_tuples_pack_no_lanes(monkeypatch):
+    expected = list(random_tuples(5, 50, 3, 4, 3))
+
+    def refused(cells):
+        raise AssertionError("random_tuples packed a lane set")
+
+    monkeypatch.setattr(laws_module, "_MixedLanes", refused)
+    assert list(random_tuples(5, 50, 3, 4, 3)) == expected
+    assert gen_bss(5, 4, 3) == expected[0][0]  # one stream: its first instance's first set
 
 
 def test_a_mixed_size_lane_set_has_no_sizes():
