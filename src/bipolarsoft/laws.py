@@ -14,9 +14,11 @@ with the count; a chunk's sets are built only if a law walks it.  A law leaves t
 first failure on either source, and an arity with no law left is drawn no further.  Each
 law's one ``_Outcome`` becomes its report in ``check_law``, kept the only builder of a
 ``LawReport`` because the benchmark's tracer counts instances there.  The stream is
-splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_block`` computes
+splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks`` computes
 a block at once, one value per 128-bit lane of an int: a lane times a 64-bit constant stays
-in its lane, and a mask drops what a right shift brings in from the next lane.
+in its lane, and a mask drops what a right shift brings in from the next lane.  The next
+block's counters are this block's plus size·γ in every lane, and a value's residue mod 3
+rides in the free upper half of its lane, so one ``to_bytes`` gives both.
 
 Each operand position of a chunk is one lane set, its instances side by side.  The pool's
 depend only on its size and the arity, and are built once per process (``_pool_lanes``) by
@@ -31,19 +33,21 @@ operations each.  On a mixed-size set it raises AttributeError, as any operation
 ``m`` or ``n`` does, and the row takes the chunk's size groups, built once per chunk if asked
 for.
 
-A chunk passes a row when the row holds on every one-cell instance (the 3^arity tuples of
-sets over ``standard_space(1, 1)``, evaluated once per run) and its own evaluator, run on the
-lane sets (or the size groups), returns None.  Run on lane sets, ``_differs`` finds no
-differing cell (or raises AttributeError, as naming a parameter needs ids) and
-``is_subset_of`` is the AND of the lanes, so an equation or order row fails a chunk with a
-failing lane.  An implication (subset transitivity) or a biconditional between whole-set
-predicates (the conditional excluded-middle rows' "absolute iff complete") is not the AND of
-its lanes, so the one-cell instances stand in for it: an m×n set is a direct product of m·n
-one-cell sets, so such a row holds on every set once it holds on every one-cell instance
-(Birkhoff 1935).  Else the scalar evaluator walks the chunk to its first failure.  Counts
-and witnesses are the scalar check's only if every operation is lane-local over instances
-of mixed sizes side by side (lane t of a result reads only lane t of the operands) and
-cell-local.  Nothing checks either: the tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
+A chunk passes a row when its own evaluator, run on the lane sets (or the size groups),
+returns None.  Run on lane sets, ``_differs`` finds no differing cell (or raises
+AttributeError, as naming a parameter needs ids) and ``is_subset_of`` is the AND of the
+lanes, so an equation or order row fails a chunk with a failing lane, and its verdict on the
+one-cell instances would change no report.  An implication (subset transitivity) or a
+biconditional between whole-set predicates (the conditional excluded-middle rows' "absolute
+iff complete") is not the AND of its lanes, so for these ``_STAND_IN`` rows the chunk must
+also hold on every one-cell instance (the 3^arity tuples of sets over
+``standard_space(1, 1)``, evaluated once per run), which stand in for them: an m×n set is a
+direct product of m·n one-cell sets, so such a row holds on every set once it holds on every
+one-cell instance (Birkhoff 1935).  Else the scalar evaluator walks the chunk to its first
+failure.  Counts and witnesses are the scalar check's only if every operation is lane-local
+over instances of mixed sizes side by side (lane t of a result reads only lane t of the
+operands) and cell-local.  Nothing checks either: the tests' ``NONLOCAL_FAULTS`` pass
+``run_catalogue``.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
 break on any instance with a neutral cell.  Their corrected conditional forms must hold.
@@ -95,18 +99,30 @@ def _lanes(size: int) -> tuple[int, int, int, int]:
     return ones, int.from_bytes(ramp, "little"), ones * _MASK64, ones * (_MASK64 >> 1)
 
 
-def _splitmix_block(seed: int, first: int, size: int) -> tuple[array, bytes]:
-    """Values ``first`` to ``first + size`` of the seed's splitmix64 stream, and each mod 3."""
+def _splitmix_blocks(seed: int, first: int, size: int) -> Iterator[tuple[array, bytes]]:
+    """Consecutive ``size``-value blocks of the seed's splitmix64 stream from value ``first``
+    on, each as ``_mixed`` gives it.  The counters are multiplied into the lanes once and then
+    step a block at a time."""
     ones, ramp, low, low63 = _lanes(size)
-    z = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
+    step = (size * _GAMMA & _MASK64) * ones
+    counters = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
+    while True:
+        yield _mixed(counters, size, low, low63)  # a call, so the paused frame holds no block
+        counters = (counters + step) & low
+
+
+def _mixed(z: int, size: int, low: int, low63: int) -> tuple[array, bytes]:
+    """The values of ``size`` lanes of counters, and each mod 3: a value's residue is written
+    into the free upper half of its lane, so one ``to_bytes`` gives both."""
     z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
     z = (z ^ z >> 31) & low
     thirds = z * 0xAAAAAAAAAAAAAAAB >> 65 & low63  # ⌊z/3⌋ = ⌊z·⌈2^65/3⌉ / 2^65⌋ for z < 2^64
-    values = array("Q", z.to_bytes(16 * size, "little"))
+    raw = (z | (z - 3 * thirds) << 64).to_bytes(16 * size, "little")
+    values = array("Q", raw)
     if sys.byteorder == "big":
         values.byteswap()
-    return values[::2], (z - 3 * thirds).to_bytes(16 * size, "little")[::16]
+    return values[::2], raw[8::16]
 
 
 def standard_space(m: int, n: int) -> ParameterSpace:
@@ -395,6 +411,10 @@ _LAWS = (
               "A ∩ Aᶜ = null (fails whenever A has a neutral cell)", must_hold=False),
 )
 _CATALOGUE = {law.law_id: law for law in _LAWS}
+# The rows that are not the AND of their lanes: an implication and the two biconditionals
+# between whole-set predicates, for which the one-cell instances stand in.
+_STAND_IN = frozenset({"subset-transitive", "excluded-middle-union",
+                       "excluded-middle-intersection"})
 
 
 # -- lane-parallel sources ------------------------------------------------------
@@ -442,10 +462,11 @@ def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[
     block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
     sizing, states, base = array("Q"), bytearray(), 0
     cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
+    blocks = _splitmix_blocks(seed, 0, block)  # the next block starts at ``base + len(sizing)``
 
     def fill(end: int) -> None:  # hold stream values ``base`` to ``base + end``, and each mod 3
         while len(sizing) < end:
-            values, residues = _splitmix_block(seed, base + len(sizing), block)
+            values, residues = next(blocks)
             sizing.extend(values)
             states.extend(residues)
 
@@ -556,20 +577,21 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     none left, whose chunks are then skipped) on one stream of chunks from every source.  An
     item is ``(arity, (count, instances, lanes, groups))``: ``instances()`` iterates the chunk's
     ``count`` instances, and ``lanes`` (``groups()`` by size, if not None) holds them packed, one
-    lane set per operand position.  A law passes a chunk if it holds on every one-cell instance
-    and on the lanes (the groups, if those raise); else the scalar evaluator walks it."""
+    lane set per operand position.  A law passes a chunk if it holds on the lanes (the groups, if
+    those raise), and a ``_STAND_IN`` row also on every one-cell instance; else the scalar
+    evaluator walks it."""
     space = standard_space(1, 1)
     cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
                                 for operands in itertools.product(cells, repeat=law.arity))
-                for laws in pending.values() for law in laws}
+                for laws in pending.values() for law in laws if law.law_id in _STAND_IN}
     outcomes: dict = {}
     offsets = dict.fromkeys(pending, 0)  # per arity, the instances before its next chunk
     while pending and (item := next(items, None)) is not None:
         arity, (count, instances, lanes, groups) = item
         for law in pending.get(arity, ()):  # none for a dead arity: its chunk is skipped
             try:
-                if one_cell[law.law_id] and law.evaluate(*lanes) is None:
+                if one_cell.get(law.law_id, True) and law.evaluate(*lanes) is None:
                     continue
             except AttributeError:  # an operation read the sizes a mixed-size set lacks, or ids
                 try:

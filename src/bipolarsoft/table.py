@@ -135,9 +135,9 @@ def _csv_rows(rows) -> str:
 def _rows(table: TabularForm, corner: str, cell: str) -> list:
     """Header and body rows; ``cell`` is a format string for a cell's (a, b) pair."""
     table = _instance(table, TabularForm, "a table")
-    text = {c: cell.format(*c.pair) for c in CellValue}
+    texts = [cell.format(*c.pair) for c in _STATES]  # by cell state, as ``from_table`` reads it
     return [[corner] + [f"({p},{q})" for p, q in table.col_labels]] + [
-        [label] + [text[c] for c in row]
+        [label, *map(texts.__getitem__, map(_STATES.index, row))]
         for label, row in zip(table.row_labels, table.cells)
     ]
 
@@ -155,8 +155,9 @@ def render_table_csv(table: TabularForm) -> str:
 def table_document(table: TabularForm) -> dict:
     """JSON-ready dict form of a table."""
     table = _instance(table, TabularForm, "a table")
+    pairs = [c.pair for c in _STATES]
     return {
         "rows": list(table.row_labels),
         "columns": [{"pos": p, "neg": q} for p, q in table.col_labels],
-        "cells": [[list(c.pair) for c in row] for row in table.cells],
+        "cells": [[[*pairs[s]] for s in map(_STATES.index, row)] for row in table.cells],
     }

@@ -446,7 +446,7 @@ def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
 
     monkeypatch.setattr(laws, "check_law", reached)
     monkeypatch.setattr(laws, "_sweep", reached)
-    monkeypatch.setattr(laws, "_splitmix_block", reached)  # nor is a value drawn
+    monkeypatch.setattr(laws, "_splitmix_blocks", reached)  # nor is a value drawn
     with pytest.raises(error) as err:
         call()
     assert isinstance(err.value, BipolarSoftError)

@@ -541,8 +541,8 @@ def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
     monkeypatch.setattr(BipolarSoftSet, "union", lambda a, b: calls.append(1) or union(a, b))
     report = run_catalogue(law_ids=["union-associative"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 3)
-    # four per batch of 9 × 81² triples and per one-cell triple
-    assert len(calls) == (9 + 3 ** 3) * 4
+    # four per batch of 9 × 81² triples; an equation has no one-cell stand-in
+    assert len(calls) == 9 * 4
 
 
 def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
@@ -553,7 +553,7 @@ def test_product_rows_evaluate_a_whole_chunk_per_product(monkeypatch):
     report = run_catalogue(law_ids=["demorgan-and-product"], exhaustive=(2, 2),
                            random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81 ** 2)
-    assert len(calls) == 1 + 3 ** 2  # one on all 81² pairs, one per one-cell pair
+    assert len(calls) == 1  # one on all 81² pairs
 
 
 def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
@@ -563,7 +563,7 @@ def test_order_rows_evaluate_a_whole_chunk_per_comparison(monkeypatch):
                         lambda a, b: calls.append(1) or is_subset_of(a, b))
     report = run_catalogue(law_ids=["subset-reflexive"], exhaustive=(2, 2), random_count=0)[0]
     assert (report.holds, report.instances_checked) == (True, 81)
-    assert len(calls) == 1 + 3  # one comparison of all 81 lanes, one per one-cell set
+    assert len(calls) == 1  # one comparison of all 81 lanes
 
 
 def test_both_sources_share_one_sweep(monkeypatch):
@@ -574,7 +574,34 @@ def test_both_sources_share_one_sweep(monkeypatch):
     report = run_catalogue(law_ids=["subset-reflexive"], exhaustive=(2, 2), random_count=1,
                            random_bounds=(1, 1))[0]
     assert (report.holds, report.instances_checked) == (True, 81 + 1)
-    assert len(calls) == 1 + 1 + 3  # the pool chunk, the random chunk, each one-cell set once
+    assert len(calls) == 1 + 1  # the pool chunk, the random chunk
+
+
+# Each of the three rows the one-cell sets stand in for, with the predicate it calls, its calls
+# on the one-cell tuples and on the 2x2 pool's lanes.  subset-transitive: each of the 27 triples
+# asks A ⊆ B, each of the 6 pairs with A ⊆ B asks B ⊆ C for all 3 C, and each of the 10 chains
+# A ⊆ B ⊆ C asks A ⊆ C; A ⊆ B then fails on some lane of each of the 9 batches, which ends the
+# row there.  An excluded-middle row asks once per one-cell set and once on the pool's lanes.
+STAND_IN_CALLS = [("subset-transitive", "is_subset_of", 27 + 6 * 3 + 10, 9),
+                  ("excluded-middle-union", "is_complete", 3, 1),
+                  ("excluded-middle-intersection", "is_complete", 3, 1)]
+
+
+@pytest.mark.parametrize("law_id, predicate, one_cell, lanes", STAND_IN_CALLS,
+                         ids=[law_id for law_id, *_ in STAND_IN_CALLS])
+def test_the_stand_in_rows_still_run_on_every_one_cell_tuple(
+        law_id, predicate, one_cell, lanes, monkeypatch):
+    calls = []
+    unpatched = getattr(BipolarSoftSet, predicate)
+    monkeypatch.setattr(BipolarSoftSet, predicate,
+                        lambda *operands: calls.append(1) or unpatched(*operands))
+    arity = get_law(law_id).arity
+    report = run_catalogue(law_ids=[law_id], exhaustive=(2, 2), random_count=0)[0]
+    assert (report.holds, report.instances_checked) == (True, 81 ** arity)
+    assert len(calls) == one_cell + lanes
+    calls.clear()
+    check_law(law_id, exhaustive_tuples(1, 1, arity))  # the one-cell tuples alone
+    assert len(calls) == one_cell
 
 
 def _rows(bits, stride, width, rows):
@@ -682,16 +709,17 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
 
 
 def _counting_stream(monkeypatch):
-    """Patch the block draw so that every block computed is appended to the list returned,
+    """Patch the block draw so that every block yielded is appended to the list returned,
     as ``(seed, first, size)``."""
     blocks = []
-    draw = laws_module._splitmix_block
+    draw = laws_module._splitmix_blocks
 
     def counted(seed, first, size):
-        blocks.append((seed, first, size))
-        return draw(seed, first, size)
+        for k, block in enumerate(draw(seed, first, size)):
+            blocks.append((seed, first + k * size, size))
+            yield block
 
-    monkeypatch.setattr(laws_module, "_splitmix_block", counted)
+    monkeypatch.setattr(laws_module, "_splitmix_blocks", counted)
     return blocks
 
 
@@ -782,10 +810,15 @@ BLOCK_SIZES = [1, 3, 26, 74, laws_module._BLOCK]
 
 
 def _assert_block_is_the_reference(seed, first, size):
-    values, residues = laws_module._splitmix_block(seed, first, size)
-    expected = list(itertools.islice(oracle.splitmix64(seed), first, first + size))
-    assert list(values) == expected  # the size draws read these values mod max_m and max_n
-    assert list(residues) == [value % 3 for value in expected]
+    """Three consecutive blocks from ``first`` on, from one generator, so that the counters
+    carried from one block to the next are checked too."""
+    blocks = laws_module._splitmix_blocks(seed, first, size)
+    stream = itertools.islice(oracle.splitmix64(seed), first, None)
+    for k in range(3):
+        values, residues = next(blocks)
+        expected = list(itertools.islice(stream, size))
+        assert list(values) == expected, k  # the size draws read these mod max_m and max_n
+        assert list(residues) == [value % 3 for value in expected], k
 
 
 @pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5])
@@ -1017,7 +1050,7 @@ def test_a_repeated_law_id_is_swept_once(monkeypatch):
 
     single, once = run(["union-idempotent"])
     double, twice = run(["union-idempotent"] * 2)
-    assert once == twice == 3 + 1 + 1  # one-cell sets, the pool chunk, the drawn chunk
+    assert once == twice == 1 + 1  # the pool chunk, the drawn chunk
     assert double == single * 2
     mixed, _ = run(["union-idempotent", "union-commutative", "union-idempotent"])
     assert mixed == [single[0], run(["union-commutative"])[0][0], single[0]]
