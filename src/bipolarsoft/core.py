@@ -50,6 +50,7 @@ def _pack(masks: tuple[int, ...], m: int) -> int:
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _POS, _NEG = bytes.maketrans(b"\0\1\2", b"100"), bytes.maketrans(b"\0\1\2", b"010")
+_STATE = bytes.maketrans(b"\0\1\2", b"\2\1\0")  # by 2·pos + neg
 
 
 def _cells(bits: int) -> bytes:
@@ -59,9 +60,16 @@ def _cells(bits: int) -> bytes:
 
 def _packed(states: bytes) -> tuple[int, int]:
     """Packed ``(pos, neg)`` ints from cell states in bit order: 0 approve, 1 reject, 2 neutral.
-    With ``_cells``, which reads a packed int back one byte per cell, the one cell codec."""
+    With its inverse ``_cell_states``, the one cell codec."""
     states = states[::-1]  # int() reads the highest bit first
     return int(states.translate(_POS), 2), int(states.translate(_NEG), 2)
+
+
+def _cell_states(pos: int, neg: int, cells: int) -> bytes:
+    """Inverse of :func:`_packed` over ``cells`` cells: one byte per cell, 2·pos + neg with both
+    ints decoded at once, as their bits are disjoint, then read as a state."""
+    codes = 2 * int.from_bytes(_cells(pos), "little") + int.from_bytes(_cells(neg), "little")
+    return codes.to_bytes(cells, "little").translate(_STATE)
 
 
 def _unpack(bits: int, m: int, n: int) -> tuple[int, ...]:

@@ -6,48 +6,32 @@ one function of the operands; only subset transitivity, an implication, is writt
 either holds on every supplied instance or the check stops at the first counterexample,
 which is stored in serialized form so the violation can be replayed later.
 
-``run_catalogue`` checks its laws in one sweep over one stream of chunks: each arity's
-exhaustive pool in ``exhaustive_tuples`` order, ``_POOL_LANES`` consecutive tuples at a time
-(all, if fewer), then the random draw, where every arity reads one seeded stream from its
-start, the arity furthest back first, ``_CHUNK`` instances at a time, so memory does not grow
-with the count; a chunk's sets are built only if a law walks it.  A law leaves the run at its
-first failure on either source, and an arity with no law left is drawn no further.  Each
-law's one ``_Outcome`` becomes its report in ``check_law``, kept the only builder of a
-``LawReport`` because the benchmark's tracer counts instances there.  The stream is
-splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks`` computes
-a block at once, one value per 128-bit lane of an int: a lane times a 64-bit constant stays
-in its lane, and a mask drops what a right shift brings in from the next lane.  The next
-block's counters are this block's plus size·γ in every lane, and a value's residue mod 3
-rides in the free upper half of its lane, so one ``to_bytes`` gives both.
+``run_catalogue`` checks its laws in one sweep (``_sweep``) over each arity's exhaustive pool
+(``_pooled``), then the seeded random draw (``_chunks``), a chunk at a time, so memory does not
+grow with the count.  Each law's one ``_Outcome`` becomes its report in ``check_law``, kept the
+only builder of a ``LawReport`` because the benchmark's tracer counts instances there.  The
+stream is splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks``
+computes a block at once, one value per 128-bit lane of an int: a lane times a 64-bit constant
+stays in its lane, and a mask drops what a right shift brings in from the next lane.
 
-Each operand position of a chunk is one lane set, its instances side by side.  The pool's
-depend only on its size and the arity, and are built once per process (``_pool_lanes``) by
-shifts and products of its packed sets, each shared by every batch that holds the same sets
-in that position.  A drawn chunk's hold instance i in its m_i·n_i cells in stream order,
-whatever its size, over a space with ``cells_mask`` alone; each is gathered from the chunk's
-cell states by a few byte operations (``_columns``) and packed by ``core._packed``.  Union,
-intersection, complement, null and absolute act cell by cell, so one bigint operation
-evaluates a term on all lanes.  A product's cell ``(i, (k, l))`` reads cell ``(i, k)`` of one
-operand and ``(i, l)`` of the other, so its rows on lane sets of one size are a few bigint
-operations each.  On a mixed-size set it raises AttributeError, as any operation that reads
-``m`` or ``n`` does, and the row takes the chunk's size groups, built once per chunk if asked
-for.
+Each operand position of a chunk is one lane set, its instances side by side: the pool's from
+the digits of the tuples' indices (``_pool_lanes``), a drawn chunk's from its cell states
+(``_columns``).  Union, intersection, complement, null and absolute act cell by cell, so one
+bigint operation evaluates a term on all lanes.  A product's cell ``(i, (k, l))`` reads cell
+``(i, k)`` of one operand and ``(i, l)`` of the other, so its rows on lane sets of one size are
+a few bigint operations each.  On a drawn chunk's mixed sizes it raises AttributeError, as any
+operation that reads ``m`` or ``n`` does, and the row takes the chunk's size groups.
 
-A chunk passes a row when its own evaluator, run on the lane sets (or the size groups),
-returns None.  Run on lane sets, ``_differs`` finds no differing cell (or raises
-AttributeError, as naming a parameter needs ids) and ``is_subset_of`` is the AND of the
-lanes, so an equation or order row fails a chunk with a failing lane, and its verdict on the
-one-cell instances would change no report.  An implication (subset transitivity) or a
-biconditional between whole-set predicates (the conditional excluded-middle rows' "absolute
-iff complete") is not the AND of its lanes, so for these ``_STAND_IN`` rows the chunk must
-also hold on every one-cell instance (the 3^arity tuples of sets over
-``standard_space(1, 1)``, evaluated once per run), which stand in for them: an m×n set is a
-direct product of m·n one-cell sets, so such a row holds on every set once it holds on every
-one-cell instance (Birkhoff 1935).  Else the scalar evaluator walks the chunk to its first
-failure.  Counts and witnesses are the scalar check's only if every operation is lane-local
-over instances of mixed sizes side by side (lane t of a result reads only lane t of the
-operands) and cell-local.  Nothing checks either: the tests' ``NONLOCAL_FAULTS`` pass
-``run_catalogue``.
+Run on lane sets, ``_differs`` finds no differing cell (or raises AttributeError, as naming a
+parameter needs ids) and ``is_subset_of`` is the AND of the lanes, so an equation or order row
+fails a chunk with a failing lane.  An implication (subset transitivity) or a biconditional
+between whole-set predicates (the conditional excluded-middle rows' "absolute iff complete")
+is not the AND of its lanes, so for these ``_STAND_IN`` rows the one-cell instances stand in:
+an m×n set is a direct product of m·n one-cell sets, so such a row holds on every set once it
+holds on every one-cell instance (Birkhoff 1935).  Counts and witnesses are the scalar
+check's only if every operation is lane-local over instances of mixed sizes side by side (lane
+t of a result reads only lane t of the operands) and cell-local.  Nothing checks either: the
+tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
 break on any instance with a neutral cell.  Their corrected conditional forms must hold.
@@ -62,11 +46,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import codec
-from .core import BipolarSoftSet, _instance, _pack, _packed
+from .core import BipolarSoftSet, _cell_states, _instance, _packed
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
 from .space import ParameterSpace
@@ -146,30 +129,29 @@ _CHUNK = 1024  # random instances drawn and checked together: one chunk at the d
 _BLOCK = 512  # stream values pulled at a time
 
 
-def _operands(space, cells: bytes, starts: list, widths: list, arity: int) -> tuple:
-    """One set per operand position over ``space``, holding that operand of every instance t,
-    ``widths[t]`` cells from ``starts[t]`` on, side by side (with one instance, a real set)."""
-    lo, columns = starts, []
-    for _ in range(arity):  # operand j + 1 begins where operand j ends
-        hi = list(map(add, lo, widths))
-        columns.append(b"".join(map(cells.__getitem__, map(slice, lo, hi))))
-        lo = hi
-    return tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
+def _instances(columns: list[bytes], sizes: Iterable) -> Iterator[tuple]:
+    """The operand tuples of a chunk whose operand j is ``columns[j]``, its instances' cell
+    states one after another, m·n cells each; each tuple over its size's standard space."""
+    at = 0
+    for m, n in sizes:
+        space, cut = _standard_space(m, n), slice(at, at + m * n)
+        yield tuple(BipolarSoftSet._closed(space, *_packed(column[cut])) for column in columns)
+        at = cut.stop
 
 
-def _instances(arity: int, cells: bytes, starts: list, sizes: list) -> Iterator[tuple]:
-    """The operand tuples of one drawn chunk, each over its size's standard space."""
-    return (_operands(_standard_space(m, n), cells, [at], [m * n], arity)
-            for at, (m, n) in zip(starts, sizes))
-
-
-def _size_groups(arity: int, cells: bytes, starts: list, sizes: list) -> list[tuple]:
+def _size_groups(columns: list[bytes], sizes: list) -> list[tuple]:
     """One lane group per size of a drawn chunk, lane t holding that size's t-th instance."""
     by_size: dict = {}
-    for at, size in zip(starts, sizes):
-        by_size.setdefault(size, []).append(at)
-    return [_operands(_LaneSpace(m, n, len(at)), cells, at, [m * n] * len(at), arity)
-            for (m, n), at in by_size.items()]
+    at = 0
+    for m, n in sizes:
+        by_size.setdefault((m, n), []).append(slice(at, at + m * n))
+        at += m * n
+    groups = []
+    for (m, n), cuts in by_size.items():
+        space = _LaneSpace(m, n, len(cuts))
+        joined = (b"".join(map(column.__getitem__, cuts)) for column in columns)
+        groups.append(tuple(BipolarSoftSet._closed(space, *_packed(lanes)) for lanes in joined))
+    return groups
 
 
 def gen_bss(
@@ -186,8 +168,8 @@ def random_tuples(
     """``count`` operand tuples; each tuple shares one randomly sized space.  The arguments
     are checked by ``_check_random`` when called, before any value is drawn."""
     _check_random(seed, count, arity, max_m, max_n)
-    return itertools.chain.from_iterable(
-        _instances(*chunk) for chunk in _chunks(seed, count, max_m, max_n, (arity,)))
+    chunks = _chunks(seed, count, max_m, max_n, (arity,))
+    return itertools.chain.from_iterable(_instances(columns, sizes) for _, columns, sizes in chunks)
 
 
 def _check_random(seed: int, count: int, arity: int, max_m: int, max_n: int) -> None:
@@ -220,18 +202,15 @@ def _check_exhaustive(m: int, n: int, arity: int) -> None:
         )
 
 
-def _states(cells: int) -> Iterator[bytes]:
-    """The 3^cells cell-state strings of ``cells`` cells, in enumeration order.  Bit order
-    is parameter-major, so the last object of the last parameter varies fastest."""
-    return map(bytes, itertools.product(b"\0\1\2", repeat=cells))
-
-
 def enumerate_bss(m: int, n: int) -> Iterator[BipolarSoftSet]:
-    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once.  The
-    size is checked by ``_check_exhaustive`` when called, before any set is built."""
+    """Every one of the 3^(m*n) sets over the standard m-by-n space, exactly once: set d's
+    cell states are the base-3 digits of d, cell 0 the highest (bit order is parameter-major,
+    so the last object of the last parameter varies fastest).  The size is checked by
+    ``_check_exhaustive`` when called, before any set is built."""
     _check_exhaustive(m, n, 1)
     space = standard_space(m, n)
-    return (BipolarSoftSet._closed(space, *_packed(states)) for states in _states(m * n))
+    return (BipolarSoftSet._closed(space, *_packed(bytes(states)))
+            for states in itertools.product(b"\0\1\2", repeat=m * n))
 
 
 def exhaustive_tuples(m: int, n: int, arity: int) -> Iterator[tuple[BipolarSoftSet, ...]]:
@@ -455,9 +434,8 @@ class _Outcome(NamedTuple):
 
 def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
     """``count`` instances of each arity while it is in ``arities``, up to ``_CHUNK`` at a time,
-    as ``(arity, cells, starts, sizes)``: two stream values give an instance's size, then one
-    per cell its state (the value mod 3).  ``cells`` holds the chunk's values mod 3, instance t
-    from ``starts[t] - 2`` on: its two size values, then its operands one after another.
+    as ``(arity, columns, sizes)``: two stream values give an instance's size, then one per cell
+    its state (the value mod 3), operand after operand; ``_columns`` gathers each operand's.
     Values below the arity furthest back, served first, are dropped."""
     block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
     sizing, states, base = array("Q"), bytearray(), 0
@@ -473,44 +451,42 @@ def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[
     while live := [a for a in cursors if a in arities and left[a]]:
         arity = min(live, key=cursors.__getitem__)
         del sizing[:cursors[arity] - base], states[:cursors[arity] - base]  # read by no arity
-        base, at, starts, sizes = cursors[arity], 0, [], []
+        base, at, sizes = cursors[arity], 0, []
         for _ in range(min(_CHUNK, left[arity])):
             if len(sizing) < at + 2:
                 fill(at + 2)
             m, n = 1 + sizing[at] % max_m, 1 + sizing[at + 1] % max_n
-            starts.append(at + 2)
             sizes.append((m, n))
             at += 2 + arity * m * n
         fill(at)
-        cursors[arity], left[arity] = base + at, left[arity] - len(starts)
-        yield arity, bytes(states[:at]), starts, sizes
+        cursors[arity], left[arity] = base + at, left[arity] - len(sizes)
+        yield arity, _columns(states[:at], [m * n for m, n in sizes], arity), sizes
 
 
 _KEEP, _DROP = bytes.maketrans(b"\1\3\5", b"\0\1\2"), b"\0\2\4"  # a marked state s is 2s + 1
 
 
-def _columns(cells: bytes, widths: list, arity: int) -> Iterator[bytes]:
-    """Each operand position's cells of a ``_chunks`` chunk, instance after instance: a mask
-    joined from one piece per instance marks the position's cells in bit 0 of the doubled
-    states, and one ``translate`` drops the rest and halves what it keeps."""
+def _columns(cells: bytearray, widths: list, arity: int) -> list[bytes]:
+    """Each operand position's cells of a chunk, instance after instance: a mask joined from
+    one piece per instance (its two size values, then its operands) marks the position's cells
+    in bit 0 of the doubled states, and one ``translate`` drops the rest and halves the kept."""
     doubled = int.from_bytes(cells, "little") << 1  # a state is at most 2, so no byte carries
-    distinct = set(widths)
+    columns, distinct = [], set(widths)
     for j in range(arity):
         pieces = {w: bytes(2 + j * w) + b"\1" * w + bytes((arity - 1 - j) * w) for w in distinct}
         mask = int.from_bytes(b"".join(map(pieces.__getitem__, widths)), "little")
-        yield (doubled | mask).to_bytes(len(cells), "little").translate(_KEEP, _DROP)
+        columns.append((doubled | mask).to_bytes(len(cells), "little").translate(_KEEP, _DROP))
+    return columns
 
 
 def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[tuple]:
     """``_chunks`` as ``_sweep`` items: each operand position packed into one lane set of all
     sizes, instance t in its m_t·n_t cells in stream order, size groups only if asked."""
-    for arity, cells, starts, sizes in _chunks(seed, count, max_m, max_n, arities):
-        widths = [m * n for m, n in sizes]
-        space = _MixedLanes(sum(widths))
-        lanes = tuple(BipolarSoftSet._closed(space, *_packed(column))
-                      for column in _columns(cells, widths, arity))
-        yield arity, (len(starts), partial(_instances, arity, cells, starts, sizes), lanes,
-                      lru_cache(maxsize=1)(partial(_size_groups, arity, cells, starts, sizes)))
+    for arity, columns, sizes in _chunks(seed, count, max_m, max_n, arities):
+        space = _MixedLanes(len(columns[0]))
+        lanes = tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
+        yield arity, (len(sizes), partial(_instances, columns, sizes), lanes,
+                      lru_cache(maxsize=1)(partial(_size_groups, columns, sizes)))
 
 
 # Lanes per pool batch: 9 leading operands of the 2×2 pool's ternary laws, about 30 KB an int.
@@ -533,43 +509,59 @@ def _tiled(bits: int, width: int, times: int) -> int:
     return tiled
 
 
-@lru_cache(maxsize=3)  # a default pass's three arities, about 0.7 MB; 1.8 MB at most each
-def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[tuple, tuple], ...]:
+def _digit_lanes(first: int, lanes: int, cells: int, top: int) -> tuple[int, int]:
+    """``(pos, neg)`` of ``lanes`` lanes of ``cells`` cells, lane t holding in cell c the state
+    of base-3 digit p = top − c of first + t.  ``lanes`` is a power of 3 that divides ``first``:
+    below it, digit p's states take turns in runs of 3^p lanes; above it, p holds in every
+    lane its state in ``first``."""
+    pos = neg = 0
+    for c in range(cells):
+        run = 3 ** (top - c)
+        if run < lanes:
+            bits = _tiled(_tiled(1 << c, cells, run), 3 * run * cells, lanes // (3 * run))
+            pos, neg = pos | bits, neg | bits << run * cells
+        elif first // run % 3 == 0:
+            pos |= _tiled(1 << c, cells, lanes)
+        elif first // run % 3 == 1:
+            neg |= _tiled(1 << c, cells, lanes)
+    return pos, neg
+
+
+@lru_cache(maxsize=3)  # a default pass's three arities, 0.67 MB; 1.70 MB at most each
+def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[BipolarSoftSet, ...], ...]:
     """``_pooled``'s batches, values only, never verdicts: up to ``_POOL_LANES`` consecutive
-    ``exhaustive_tuples`` each, as the slice of the pool each operand takes (the batch is their
-    product) and one lane set per operand, lane t its batch's t-th tuple.  All batches share
-    one space, and each operand's lane set is built once for every batch it serves."""
+    ``exhaustive_tuples`` each, as one lane set per operand, lane t its batch's t-th tuple.
+    Tuple g is the base-3 digits of g: cell c of operand j holds digit (arity − j)·cells − 1 − c.
+    All batches share one space, and an operand's lane set is built once for every batch whose
+    digits in it agree: those whose first tuples have that operand in common."""
     cells = m * n
     size = 3 ** cells
     space = _LaneSpace(m, n, min(_POOL_LANES, size ** arity))
-    lanes = space.lanes
-    every = _packed(b"".join(_states(cells)))  # the pool's cells, set d at cell d·cells
-
-    @lru_cache(maxsize=None)
-    def column(stride: int, first: int) -> tuple:  # an operand that steps every stride tuples
-        rep = min(stride, lanes)  # lanes per set, and sets per batch, from set ``first`` on
-        k, ones = min(size, lanes // rep), _tiled(1, cells, rep)
-        sides = []
-        for bits in every:
-            window = bits >> first * cells & (1 << k * cells) - 1
-            if rep > 1:  # each set across its rep lanes, by products, not by one wide division
-                window = _pack(tuple((window >> d * cells & (1 << cells) - 1) * ones
-                                     for d in range(k)), cells * rep)
-            sides.append(_tiled(window, cells * rep * k, lanes // (rep * k)))
-        return slice(first, first + k), BipolarSoftSet._closed(space, *sides)
-
-    strides = [size ** (arity - 1 - j) for j in range(arity)]
-    return tuple(tuple(zip(*(column(stride, start // stride % size) for stride in strides)))
-                 for start in range(0, size ** arity, lanes))
+    built: dict = {}
+    batches = []
+    for first in range(0, size ** arity, space.lanes):
+        keys = [(j, first // size ** (arity - 1 - j) % size) for j in range(arity)]
+        for j, operand in keys:
+            if (j, operand) not in built:
+                built[j, operand] = BipolarSoftSet._closed(
+                    space, *_digit_lanes(first, space.lanes, cells, (arity - j) * cells - 1))
+        batches.append(tuple(map(built.__getitem__, keys)))
+    return tuple(batches)
 
 
-def _pooled(pool: list[BipolarSoftSet], arity: int) -> Iterator[tuple]:
+def _walked(lanes: tuple) -> Iterator[tuple]:
+    """A pool batch's tuples, cut from the cell states of its lane sets."""
+    space = lanes[0].space
+    width = space.m * space.n * space.lanes
+    columns = [_cell_states(lane_set.pos_bits, lane_set.neg_bits, width) for lane_set in lanes]
+    return _instances(columns, itertools.repeat((space.m, space.n), space.lanes))
+
+
+def _pooled(m: int, n: int, arity: int) -> Iterator[tuple]:
     """The pool's ``arity``-tuples in ``exhaustive_tuples`` order, as one ``_sweep`` item per
-    batch of ``_pool_lanes``."""
-    space = pool[0].space
-    for spans, lanes in _pool_lanes(space.m, space.n, arity):
-        yield arity, (lanes[0].space.lanes,
-                      partial(itertools.product, *(pool[span] for span in spans)), lanes, None)
+    batch of ``_pool_lanes``; a batch's sets are built only if a law walks it."""
+    for lanes in _pool_lanes(m, n, arity):
+        yield arity, (lanes[0].space.lanes, partial(_walked, lanes), lanes, None)
 
 
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
@@ -580,8 +572,7 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
     lane set per operand position.  A law passes a chunk if it holds on the lanes (the groups, if
     those raise), and a ``_STAND_IN`` row also on every one-cell instance; else the scalar
     evaluator walks it."""
-    space = standard_space(1, 1)
-    cells = [BipolarSoftSet._closed(space, *_packed(state)) for state in _states(1)]
+    cells = list(enumerate_bss(1, 1))
     one_cell = {law.law_id: all(law.evaluate(*operands) is None  # on all 3^arity tuples
                                 for operands in itertools.product(cells, repeat=law.arity))
                 for laws in pending.values() for law in laws if law.law_id in _STAND_IN}
@@ -699,9 +690,8 @@ def run_catalogue(
     for arity in arities or (1,):
         _check_random(seed, random_count, arity, *random_bounds)
     distinct = {law.law_id: law for law in selected}.values()  # a repeated id is swept once
-    pool = list(enumerate_bss(*exhaustive)) if exhaustive is not None and selected else None
     by_arity = {arity: [law for law in distinct if law.arity == arity] for arity in arities}
-    sources = [] if pool is None else [_pooled(pool, arity) for arity in by_arity]
+    sources = [] if exhaustive is None else [_pooled(*exhaustive, arity) for arity in by_arity]
     if random_count:  # after the pool; it draws only the arities with a law left
         sources.append(_drawn(seed, random_count, *random_bounds, by_arity))
     found = _sweep(by_arity, itertools.chain(*sources))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
-from .core import BipolarSoftSet, _cells, _instance, _packed, _space_of
+from .core import BipolarSoftSet, _cell_states, _instance, _packed, _space_of
 from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
@@ -38,7 +38,6 @@ class CellValue(Enum):
 
 
 _STATES = tuple(CellValue)  # by cell state as ``_packed`` reads it: 0 approve, 1 reject, 2 neutral
-_BY_CODE = _STATES[::-1]  # by 2·pos + neg
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,8 @@ def to_table(bss: BipolarSoftSet) -> TabularForm:
     """Encode a bipolar soft set as its indicator matrix; orders follow the space."""
     space = _space_of(bss)
     m = space.m
-    # one byte per cell, 2·pos + neg: both ints decoded at once, as the bits are disjoint
-    codes = (2 * int.from_bytes(_cells(bss.pos_bits), "little")
-             + int.from_bytes(_cells(bss.neg_bits), "little")).to_bytes(m * space.n, "little")
-    cells = tuple(map(_BY_CODE.__getitem__, codes))  # parameter-major: object i's row is [i::m]
+    states = _cell_states(bss.pos_bits, bss.neg_bits, m * space.n)
+    cells = tuple(map(_STATES.__getitem__, states))  # parameter-major: object i's row is [i::m]
     return TabularForm(space.universe, space.pairs, tuple(cells[i::m] for i in range(m)))
 
 

@@ -862,8 +862,7 @@ def _walk_pool(pool, arity):
     """Every batch's tuples of the pool, each batch checked against its lanes; and the count
     of batches."""
     walked, batches = [], 0
-    for item_arity, (count, instances, group, groups) in laws_module._pooled(
-            list(enumerate_bss(*pool)), arity):
+    for item_arity, (count, instances, group, groups) in laws_module._pooled(*pool, arity):
         tuples = list(instances())
         assert item_arity == arity and len(tuples) == count and len(group) == arity
         assert groups is None  # the pool's lanes have sizes: nothing to fall back to
@@ -999,9 +998,9 @@ def test_only_the_product_rows_ask_for_size_groups(monkeypatch):
     built = []
     size_groups = laws_module._size_groups
 
-    def counted(arity, *args):
-        built.append(arity)
-        return size_groups(arity, *args)
+    def counted(columns, sizes):
+        built.append(len(columns))  # the chunk's arity: one column per operand
+        return size_groups(columns, sizes)
 
     monkeypatch.setattr(laws_module, "_size_groups", counted)
     run_catalogue()
@@ -1026,7 +1025,7 @@ def test_the_pool_lanes_are_built_once_and_hold_no_verdicts(monkeypatch):
     assert not all(report.holds for report in fast)
 
 
-def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
+def test_a_default_pass_enumerates_only_the_one_cell_sets(monkeypatch):
     calls = []
     enumerate_pool = laws_module.enumerate_bss
 
@@ -1036,7 +1035,22 @@ def test_a_default_pass_enumerates_the_pool_once(monkeypatch):
 
     monkeypatch.setattr(laws_module, "enumerate_bss", counted)
     run_catalogue()
-    assert calls == [(2, 2)]
+    assert calls == [(1, 1)]  # the pool's lanes and sets come from the digits of their indices
+
+
+def test_the_largest_unary_pool_is_checked_in_bounded_memory():
+    unary = [law.law_id for law in catalogue() if law.arity == 1]
+    assert len(unary) == 16
+    laws_module._pool_lanes.cache_clear()  # so that its nine lane sets are built under the trace
+    tracemalloc.start()
+    try:
+        reports = run_catalogue(unary, exhaustive=(3, 4), random_count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        laws_module._pool_lanes.cache_clear()
+    assert [report.instances_checked for report in reports if report.holds] == [3 ** 12] * 14
+    assert peak < 20_000_000, peak
 
 
 def test_a_repeated_law_id_is_swept_once(monkeypatch):
