@@ -7,12 +7,13 @@ either holds on every supplied instance or the check stops at the first countere
 which is stored in serialized form so the violation can be replayed later.
 
 ``run_catalogue`` checks its laws in one sweep (``_sweep``) over each arity's exhaustive pool
-(``_pooled``), then the seeded random draw (``_chunks``), a chunk at a time, so memory does not
-grow with the count.  Each law's one ``_Outcome`` becomes its report in ``check_law``, kept the
-only builder of a ``LawReport`` because the benchmark's tracer counts instances there.  The
-stream is splitmix64, whose value i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks``
-computes a block at once, one value per 128-bit lane of an int: a lane times a 64-bit constant
-stays in its lane, and a mask drops what a right shift brings in from the next lane.
+(``_pool_lanes``, whose cache holds each batch's sweep item), then the seeded random draw
+(``_chunks``), a chunk at a time, so memory does not grow with the count.  Each law's one
+``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
+because the benchmark's tracer counts instances there.  The stream is splitmix64, whose value
+i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks`` computes a block at once, one value
+per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a mask drops
+what a right shift brings in from the next lane.
 
 Each operand position of a chunk is one lane set, its instances side by side: the pool's from
 the digits of the tuples' indices (``_pool_lanes``), a drawn chunk's from its cell states
@@ -528,9 +529,10 @@ def _digit_lanes(first: int, lanes: int, cells: int, top: int) -> tuple[int, int
 
 
 @lru_cache(maxsize=3)  # a default pass's three arities, 0.67 MB; 1.70 MB at most each
-def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[BipolarSoftSet, ...], ...]:
-    """``_pooled``'s batches, values only, never verdicts: up to ``_POOL_LANES`` consecutive
-    ``exhaustive_tuples`` each, as one lane set per operand, lane t its batch's t-th tuple.
+def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple, ...]:
+    """The pool's ``arity``-tuples in ``exhaustive_tuples`` order as ``_sweep`` items, values
+    only, never verdicts: up to ``_POOL_LANES`` consecutive tuples a batch, as one lane set per
+    operand, lane t its batch's t-th tuple; ``_walked`` builds a batch's sets if a law walks it.
     Tuple g is the base-3 digits of g: cell c of operand j holds digit (arity − j)·cells − 1 − c.
     All batches share one space, and an operand's lane set is built once for every batch whose
     digits in it agree: those whose first tuples have that operand in common."""
@@ -538,15 +540,16 @@ def _pool_lanes(m: int, n: int, arity: int) -> tuple[tuple[BipolarSoftSet, ...],
     size = 3 ** cells
     space = _LaneSpace(m, n, min(_POOL_LANES, size ** arity))
     built: dict = {}
-    batches = []
+    items = []
     for first in range(0, size ** arity, space.lanes):
         keys = [(j, first // size ** (arity - 1 - j) % size) for j in range(arity)]
         for j, operand in keys:
             if (j, operand) not in built:
                 built[j, operand] = BipolarSoftSet._closed(
                     space, *_digit_lanes(first, space.lanes, cells, (arity - j) * cells - 1))
-        batches.append(tuple(map(built.__getitem__, keys)))
-    return tuple(batches)
+        lanes = tuple(map(built.__getitem__, keys))
+        items.append((arity, (space.lanes, partial(_walked, lanes), lanes, None)))
+    return tuple(items)
 
 
 def _walked(lanes: tuple) -> Iterator[tuple]:
@@ -555,13 +558,6 @@ def _walked(lanes: tuple) -> Iterator[tuple]:
     width = space.m * space.n * space.lanes
     columns = [_cell_states(lane_set.pos_bits, lane_set.neg_bits, width) for lane_set in lanes]
     return _instances(columns, itertools.repeat((space.m, space.n), space.lanes))
-
-
-def _pooled(m: int, n: int, arity: int) -> Iterator[tuple]:
-    """The pool's ``arity``-tuples in ``exhaustive_tuples`` order, as one ``_sweep`` item per
-    batch of ``_pool_lanes``; a batch's sets are built only if a law walks it."""
-    for lanes in _pool_lanes(m, n, arity):
-        yield arity, (lanes[0].space.lanes, partial(_walked, lanes), lanes, None)
 
 
 def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _Outcome]:
@@ -691,7 +687,7 @@ def run_catalogue(
         _check_random(seed, random_count, arity, *random_bounds)
     distinct = {law.law_id: law for law in selected}.values()  # a repeated id is swept once
     by_arity = {arity: [law for law in distinct if law.arity == arity] for arity in arities}
-    sources = [] if exhaustive is None else [_pooled(*exhaustive, arity) for arity in by_arity]
+    sources = [] if exhaustive is None else [_pool_lanes(*exhaustive, arity) for arity in by_arity]
     if random_count:  # after the pool; it draws only the arities with a law left
         sources.append(_drawn(seed, random_count, *random_bounds, by_arity))
     found = _sweep(by_arity, itertools.chain(*sources))

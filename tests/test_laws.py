@@ -416,11 +416,12 @@ FAULT_IDS = ["union", "intersection", "and-product", "or-product", "subset", "no
 def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
         fault, law_id, first_failure, past, monkeypatch):
     # a fault that acts on each cell alone is seen in every lane, so the lanes fail the
-    # chunk that holds the first failing instance and the scalar check finds it there, even
-    # in a late chunk (past the first batch of 81² lanes for a ternary law, past the first
-    # operand's 81 pairs for a binary one; a unary law's one chunk passes its first instance).
+    # batch that holds the first failing instance and the scalar check finds it there.  Each
+    # first failure lies past the first operand's 81² triples (ternary) or 81 pairs (binary),
+    # or past the first instance (unary); all fall in the first batch of 3^10 tuples, so the
+    # 2x2 check runs again on batches of 3^4, where all but the unary one fall in a later batch.
     # Lanes cannot judge an implication, but the non-transitive order fails its one-cell
-    # instances, so every chunk is walked and the first holds the failure past 81 triples.
+    # instances, so every batch is walked and the failure lies past 81 triples.
     monkeypatch.setattr(*fault)
     failed = 0
     for pool in POOLS:
@@ -433,6 +434,14 @@ def test_lane_checks_find_the_scalar_witness_under_a_cellwise_fault(
     assert failed > len(POOLS)
     report = run_catalogue(law_ids=[law_id], exhaustive=(2, 2), random_count=0)[0]
     assert report.instances_checked == first_failure > past
+    assert recheck(report)
+    monkeypatch.setattr(laws_module, "_POOL_LANES", 3 ** 4)
+    laws_module._pool_lanes.cache_clear()
+    try:
+        report = run_catalogue(law_ids=[law_id], exhaustive=(2, 2), random_count=0)[0]
+    finally:
+        laws_module._pool_lanes.cache_clear()  # drop the entries of the lowered budget
+    assert report.instances_checked == first_failure
     assert recheck(report)
 
 
@@ -695,17 +704,23 @@ def test_random_lanes_find_the_scalar_witness_under_a_cellwise_fault(fault, past
 
 
 def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypatch):
-    union = BipolarSoftSet.union
+    union, fired = BipolarSoftSet.union, []
 
     def wrong_on_lanes(a, b):  # wrong on lane sets only, so every flag is a false alarm
         joined = union(a, b)
-        if isinstance(a.space, laws_module._LaneSpace):
+        if not isinstance(a.space, laws_module.ParameterSpace):  # any kind of lane set
+            fired.append(type(a.space).__name__)
             return BipolarSoftSet._closed(joined.space, joined.pos_bits ^ 1, joined.neg_bits & ~1)
         return joined
 
     monkeypatch.setattr(BipolarSoftSet, "union", wrong_on_lanes)
     for fast, scalar in _random_and_scalar_reports(catalogue(), 150, 7, (3, 2)):
         assert fast == scalar, fast.law_id
+    assert "_MixedLanes" in fired  # a drawn chunk's lanes, not only its size groups
+    fired.clear()
+    for fast, scalar in _lane_and_scalar_reports((2, 1), catalogue()):
+        assert fast == scalar, fast.law_id
+    assert set(fired) == {"_LaneSpace"}  # the pool's lanes
 
 
 def _counting_stream(monkeypatch):
@@ -862,7 +877,7 @@ def _walk_pool(pool, arity):
     """Every batch's tuples of the pool, each batch checked against its lanes; and the count
     of batches."""
     walked, batches = [], 0
-    for item_arity, (count, instances, group, groups) in laws_module._pooled(*pool, arity):
+    for item_arity, (count, instances, group, groups) in laws_module._pool_lanes(*pool, arity):
         tuples = list(instances())
         assert item_arity == arity and len(tuples) == count and len(group) == arity
         assert groups is None  # the pool's lanes have sizes: nothing to fall back to
