@@ -66,6 +66,7 @@ MAX_RANDOM_CELLS = 3 ** MAX_EXHAUSTIVE_CELLS * math.prod(DEFAULT_RANDOM_BOUNDS) 
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter step
+_FOLD = bytes.maketrans(b"\3", b"\2")  # a residue's codes 2 and 3 both mean 2
 
 
 def _require_ints(**values: object) -> None:
@@ -77,36 +78,37 @@ def _require_ints(**values: object) -> None:
 
 @lru_cache(maxsize=16)
 def _lanes(size: int) -> tuple[int, int, int, int]:
-    """``size`` 128-bit lanes: bit 0 of each, (t + 1)·γ mod 2^64 in lane t, low 64 and 63 bits."""
+    """``size`` 128-bit lanes: bit 0 of each, (t + 1)·γ mod 2^64 in lane t, bits 0–63, 64–65."""
     ones = int.from_bytes((b"\1" + bytes(15)) * size, "little")
     ramp = b"".join((t * _GAMMA & _MASK64).to_bytes(16, "little") for t in range(1, size + 1))
-    return ones, int.from_bytes(ramp, "little"), ones * _MASK64, ones * (_MASK64 >> 1)
+    return ones, int.from_bytes(ramp, "little"), ones * _MASK64, ones * 3 << 64
 
 
 def _splitmix_blocks(seed: int, first: int, size: int) -> Iterator[tuple[array, bytes]]:
     """Consecutive ``size``-value blocks of the seed's splitmix64 stream from value ``first``
     on, each as ``_mixed`` gives it.  The counters are multiplied into the lanes once and then
     step a block at a time."""
-    ones, ramp, low, low63 = _lanes(size)
+    ones, ramp, low, codes = _lanes(size)
     step = (size * _GAMMA & _MASK64) * ones
     counters = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
     while True:
-        yield _mixed(counters, size, low, low63)  # a call, so the paused frame holds no block
+        yield _mixed(counters, size, low, codes)  # a call, so the paused frame holds no block
         counters = (counters + step) & low
 
 
-def _mixed(z: int, size: int, low: int, low63: int) -> tuple[array, bytes]:
-    """The values of ``size`` lanes of counters, and each mod 3: a value's residue is written
-    into the free upper half of its lane, so one ``to_bytes`` gives both."""
+def _mixed(z: int, size: int, low: int, codes: int) -> tuple[array, bytes]:
+    """The values of ``size`` lanes of counters, and each mod 3.  Bits 63 and 64 of z·⌈2^65/3⌉,
+    for z < 2^64, are the top two bits of the fraction of z/3 plus less than 1/6: code r for a
+    residue r of 0 or 1, and 2 or 3 for 2, which one ``translate`` folds.  A code is written into
+    the free upper half of its lane, so one ``to_bytes`` gives both."""
     z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
     z = (z ^ z >> 31) & low
-    thirds = z * 0xAAAAAAAAAAAAAAAB >> 65 & low63  # ⌊z/3⌋ = ⌊z·⌈2^65/3⌉ / 2^65⌋ for z < 2^64
-    raw = (z | (z - 3 * thirds) << 64).to_bytes(16 * size, "little")
+    raw = (z | z * 0xAAAAAAAAAAAAAAAB << 1 & codes).to_bytes(16 * size, "little")
     values = array("Q", raw)
     if sys.byteorder == "big":
         values.byteswap()
-    return values[::2], raw[8::16]
+    return values[::2], raw[8::16].translate(_FOLD)
 
 
 def standard_space(m: int, n: int) -> ParameterSpace:
@@ -452,31 +454,38 @@ def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[
     while live := [a for a in cursors if a in arities and left[a]]:
         arity = min(live, key=cursors.__getitem__)
         del sizing[:cursors[arity] - base], states[:cursors[arity] - base]  # read by no arity
-        base, at, sizes = cursors[arity], 0, []
-        for _ in range(min(_CHUNK, left[arity])):
-            if len(sizing) < at + 2:
+        base, at, sizes, want = cursors[arity], 0, [], min(_CHUNK, left[arity])
+        while len(sizes) < want:
+            try:  # a walk that reads past the values held stops at IndexError, and goes on
+                for _ in range(want - len(sizes)):
+                    m, n = 1 + sizing[at] % max_m, 1 + sizing[at + 1] % max_n
+                    sizes.append((m, n))
+                    at += 2 + arity * m * n
+            except IndexError:
                 fill(at + 2)
-            m, n = 1 + sizing[at] % max_m, 1 + sizing[at + 1] % max_n
-            sizes.append((m, n))
-            at += 2 + arity * m * n
         fill(at)
         cursors[arity], left[arity] = base + at, left[arity] - len(sizes)
         yield arity, _columns(states[:at], [m * n for m, n in sizes], arity), sizes
 
 
-_KEEP, _DROP = bytes.maketrans(b"\1\3\5", b"\0\1\2"), b"\0\2\4"  # a marked state s is 2s + 1
+# One ``translate`` per operand j of a tag group: keep its tagged states 3j + s as s, drop the rest.
+_BYTES = bytes(range(256))
+_TABLES = [(bytes(3 * j) + _BYTES[:256 - 3 * j], _BYTES[:3 * j] + _BYTES[3 * j + 3:])
+           for j in range(84)]
 
 
 def _columns(cells: bytearray, widths: list, arity: int) -> list[bytes]:
-    """Each operand position's cells of a chunk, instance after instance: a mask joined from
-    one piece per instance (its two size values, then its operands) marks the position's cells
-    in bit 0 of the doubled states, and one ``translate`` drops the rest and halves the kept."""
-    doubled = int.from_bytes(cells, "little") << 1  # a state is at most 2, so no byte carries
-    columns, distinct = [], set(widths)
-    for j in range(arity):
-        pieces = {w: bytes(2 + j * w) + b"\1" * w + bytes((arity - 1 - j) * w) for w in distinct}
-        mask = int.from_bytes(b"".join(map(pieces.__getitem__, widths)), "little")
-        columns.append((doubled | mask).to_bytes(len(cells), "little").translate(_KEEP, _DROP))
+    """Each operand position's cells of a chunk, instance after instance.  Operands are tagged
+    in groups of 84: a tag stream joined from one piece per instance (its two size values, then
+    its operands) adds 3j to each cell of the group's operand j and 252 to every other byte, so
+    no byte carries (3·83 + 2 < 252, 252 + 2 < 256), and one ``translate`` keeps an operand's."""
+    states, columns = int.from_bytes(cells, "little"), []
+    for lo in range(0, arity, 84):
+        tags = b"\xfc" * lo + _BYTES[:3 * min(84, arity - lo):3] + b"\xfc" * (arity - lo - 84)
+        pieces = {w: b"\xfc\xfc" + b"".join(bytes((t,)) * w for t in tags) for w in set(widths)}
+        stream = int.from_bytes(b"".join(map(pieces.__getitem__, widths)), "little")
+        tagged = (states + stream).to_bytes(len(cells), "little")
+        columns += [tagged.translate(*_TABLES[j - lo]) for j in range(lo, min(arity, lo + 84))]
     return columns
 
 

@@ -3,7 +3,8 @@
 Everything here works on plain member-set maps of the shape
 ``{param: (approving_frozenset, rejecting_frozenset)}`` and never calls the
 operation it is used to check.  ``splitmix64`` is the random stream the law
-checker draws from, computed one value at a time.
+checker draws from, computed one value at a time; ``splitmix64_state`` inverts
+its finalizer, so a test can choose the seed that draws a given value.
 """
 
 from __future__ import annotations
@@ -13,15 +14,34 @@ from typing import Iterator
 _MASK64 = (1 << 64) - 1
 
 
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 def splitmix64(seed: int) -> Iterator[int]:
     """The reference 64-bit stream, one value at a time, fully determined by the seed."""
     state = seed & _MASK64
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _unshift(y: int, k: int) -> int:
+    """The z < 2^64 with ``z ^ (z >> k) == y``: y ^ y >> k ^ y >> 2k ^ ..."""
+    z = y
+    for _ in range(64 // k):
+        z = y ^ (z >> k)
+    return z
+
+
+def splitmix64_state(value: int) -> int:
+    """The counter state that splitmix64's finalizer mixes into ``value``: each xor-shift undone,
+    and each multiply by the constant's inverse mod 2^64 (the constants are odd)."""
+    z = _unshift(value, 31)
+    z = _unshift((z * pow(_MIX2, -1, 1 << 64)) & _MASK64, 27)
+    return _unshift((z * pow(_MIX1, -1, 1 << 64)) & _MASK64, 30)
 
 
 def member_view(bss) -> dict:

@@ -534,14 +534,50 @@ def test_nonlocal_faults_fail_the_scalar_check(fault, first_failures, monkeypatc
         == [(False, count) for count in first_failures.values()]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a lane verdict assumes lane-local "
-                                       "operations, and nothing checks that they are")
+NONLOCAL_XFAIL = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a lane verdict assumes "
+                                   "lane-local operations, and nothing checks that they are")
+
+
+@NONLOCAL_XFAIL
 @pytest.mark.parametrize("fault, first_failures", NONLOCAL_FAULTS, ids=NONLOCAL_IDS)
 def test_lane_checks_find_the_scalar_witness_under_a_nonlocal_fault(
         fault, first_failures, monkeypatch):
     monkeypatch.setattr(*fault)
     assert run_catalogue(law_ids=list(first_failures), exhaustive=(2, 2), random_count=0) \
         == _scalar_reports_on_the_pool(first_failures)
+
+
+# With each fault, its rows' first failures on the default draw (seed 1, 6x4 bounds), one
+# instance at a time; every one lies within the first NONLOCAL_DRAWN instances.
+NONLOCAL_DRAW_FAULTS = [
+    (NONLOCAL_FAULTS[0][0], {"union-idempotent": 4, "union-commutative": 2,
+                             "union-absorption": 2, "union-associative": 3}),
+    (NONLOCAL_FAULTS[1][0], {"subset-transitive": 141}),
+    (NONLOCAL_FAULTS[2][0], {"excluded-middle-union": 23, "excluded-middle-intersection": 23}),
+]
+NONLOCAL_DRAWN = 300
+
+
+def _scalar_reports_on_the_draw(law_ids):
+    return [check_law(law_id, random_tuples(1, NONLOCAL_DRAWN, get_law(law_id).arity))
+            for law_id in law_ids]
+
+
+@pytest.mark.parametrize("fault, first_failures", NONLOCAL_DRAW_FAULTS, ids=NONLOCAL_IDS)
+def test_nonlocal_faults_fail_the_scalar_check_on_the_draw(fault, first_failures, monkeypatch):
+    monkeypatch.setattr(*fault)
+    assert [(report.holds, report.instances_checked)
+            for report in _scalar_reports_on_the_draw(first_failures)] \
+        == [(False, count) for count in first_failures.values()]
+
+
+@NONLOCAL_XFAIL
+@pytest.mark.parametrize("fault, first_failures", NONLOCAL_DRAW_FAULTS, ids=NONLOCAL_IDS)
+def test_random_lanes_find_the_scalar_witness_under_a_nonlocal_fault(
+        fault, first_failures, monkeypatch):
+    monkeypatch.setattr(*fault)
+    assert run_catalogue(law_ids=list(first_failures), exhaustive=None, seed=1,
+                         random_count=NONLOCAL_DRAWN) == _scalar_reports_on_the_draw(first_failures)
 
 
 def test_lane_checks_evaluate_a_whole_batch_per_operation(monkeypatch):
@@ -819,6 +855,15 @@ def test_random_tuples_match_the_cell_by_cell_draw(seed, arity, bounds, monkeypa
     assert drawn == list(_reference_tuples(seed, 150, arity, *bounds))
 
 
+# Operands are gathered in tag groups of 84: one group whole, one and a bit, two, and three.
+@pytest.mark.parametrize("arity", [84, 85, 168, 170])
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 2)], ids=["1x1", "3x2"])
+def test_random_tuples_of_many_tag_groups_match_the_cell_by_cell_draw(arity, bounds, monkeypatch):
+    monkeypatch.setattr(laws_module, "_CHUNK", 8)  # so that 20 instances span three chunks
+    drawn = list(random_tuples(1, 20, arity, *bounds))
+    assert drawn == list(_reference_tuples(1, 20, arity, *bounds))
+
+
 GAMMA = 0x9E3779B97F4A7C15  # the stream's counter step: value i is mix(seed + (i + 1)·GAMMA)
 # 1, 3 and 26 values: gen_bss and small counts ask for these; 74 = 2 + 3·24: a count of 1
 BLOCK_SIZES = [1, 3, 26, 74, laws_module._BLOCK]
@@ -849,6 +894,22 @@ def test_a_block_of_the_stream_is_the_reference_stream(seed, size):
 @given(st.integers(), st.integers(0, 3000), st.sampled_from(BLOCK_SIZES))
 def test_blocks_of_any_seed_are_the_reference_stream(seed, first, size):
     _assert_block_is_the_reference(seed, first, size)
+
+
+# The residue kernel reads v mod 3 from bits 63 and 64 of v·⌈2^65/3⌉, with an error that grows
+# with v.  2^64 − 1 is the largest multiple of 3 below 2^64, so the top three values are also
+# that multiple and it minus 1 and 2.
+RESIDUE_EDGES = [0, 1, 2, 3, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 3, 2 ** 64 - 2, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("value", RESIDUE_EDGES)
+@pytest.mark.parametrize("size, lane", [(1, 0), (512, 0), (512, 511)])
+def test_the_residue_kernel_is_exact_at_its_edges(value, size, lane):
+    # the seed whose value ``lane``, mix(seed + (lane + 1)·GAMMA), is ``value``
+    seed = (oracle.splitmix64_state(value) - (lane + 1) * GAMMA) % 2 ** 64
+    assert next(itertools.islice(oracle.splitmix64(seed), lane, None)) == value
+    values, residues = next(laws_module._splitmix_blocks(seed, 0, size))
+    assert (values[lane], residues[lane]) == (value, value % 3)
 
 
 def test_seeds_equal_mod_2_to_the_64_give_the_same_run():
