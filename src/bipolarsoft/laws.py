@@ -8,12 +8,9 @@ which is stored in serialized form so the violation can be replayed later.
 
 ``run_catalogue`` checks its laws in one sweep (``_sweep``) over each arity's exhaustive pool
 (``_pool_lanes``, whose cache holds each batch's sweep item), then the seeded random draw
-(``_chunks``), a chunk at a time, so memory does not grow with the count.  Each law's one
-``_Outcome`` becomes its report in ``check_law``, kept the only builder of a ``LawReport``
-because the benchmark's tracer counts instances there.  The stream is splitmix64, whose value
-i is mix(seed + (i + 1)·γ mod 2^64), so ``_splitmix_blocks`` computes a block at once, one value
-per 128-bit lane of an int: a lane times a 64-bit constant stays in its lane, and a mask drops
-what a right shift brings in from the next lane.
+(``_chunks``, from the splitmix64 blocks of ``_splitmix_blocks``), a chunk at a time, so memory
+does not grow with the count.  Each law's one ``_Outcome`` becomes its report in ``check_law``,
+kept the only builder of a ``LawReport`` because the benchmark's tracer counts instances there.
 
 Each operand position of a chunk is one lane set, its instances side by side: the pool's from
 the digits of the tuples' indices (``_pool_lanes``), a drawn chunk's from its cell states
@@ -23,16 +20,15 @@ bigint operation evaluates a term on all lanes.  A product's cell ``(i, (k, l))`
 a few bigint operations each.  On a drawn chunk's mixed sizes it raises AttributeError, as any
 operation that reads ``m`` or ``n`` does, and the row takes the chunk's size groups.
 
-Run on lane sets, ``_differs`` finds no differing cell (or raises AttributeError, as naming a
-parameter needs ids) and ``is_subset_of`` is the AND of the lanes, so an equation or order row
-fails a chunk with a failing lane.  An implication (subset transitivity) or a biconditional
-between whole-set predicates (the conditional excluded-middle rows' "absolute iff complete")
-is not the AND of its lanes, so for these ``_STAND_IN`` rows the one-cell instances stand in:
-an m×n set is a direct product of m·n one-cell sets, so such a row holds on every set once it
-holds on every one-cell instance (Birkhoff 1935).  Counts and witnesses are the scalar
-check's only if every operation is lane-local over instances of mixed sizes side by side (lane
-t of a result reads only lane t of the operands) and cell-local.  Nothing checks either: the
-tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
+On lane sets, ``_differs`` is None only if no lane differs and ``is_subset_of`` is the AND of the
+lanes, so an equation or order row fails a chunk with a failing lane.  An implication (subset
+transitivity) or a biconditional between whole-set predicates (the conditional excluded-middle
+rows' "absolute iff complete") is not the AND of its lanes, so for these ``_STAND_IN`` rows the
+one-cell instances stand in: an m×n set is a direct product of m·n one-cell sets, so such a row
+holds on every set once it holds on every one-cell instance (Birkhoff 1935).  Counts and witnesses
+are the scalar check's only if every operation is lane-local over instances of mixed sizes side by
+side (lane t of a result reads only lane t of the operands) and cell-local.  Nothing checks
+either: the tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
 break on any instance with a neutral cell.  Their corrected conditional forms must hold.
@@ -86,29 +82,27 @@ def _lanes(size: int) -> tuple[int, int, int, int]:
 
 def _splitmix_blocks(seed: int, first: int, size: int) -> Iterator[tuple[array, bytes]]:
     """Consecutive ``size``-value blocks of the seed's splitmix64 stream from value ``first``
-    on, each as ``_mixed`` gives it.  The counters are multiplied into the lanes once and then
-    step a block at a time."""
+    on, each as its values and each value mod 3.  Value i is mix(seed + (i + 1)·γ mod 2^64), so
+    a block is computed at once, one value per 128-bit lane of an int: a lane times a 64-bit
+    constant stays in its lane, and a mask drops what a right shift brings in from the next
+    lane.  The counters are multiplied into the lanes once and then step a block at a time.
+    Bits 63 and 64 of z·⌈2^65/3⌉, for z < 2^64, are the top two bits of the fraction of z/3 plus
+    less than 1/6: code r for a residue r of 0 or 1, and 2 or 3 for 2, which one ``translate``
+    folds.  A code is written into the free upper half of its lane, so one ``to_bytes`` gives
+    both."""
     ones, ramp, low, codes = _lanes(size)
     step = (size * _GAMMA & _MASK64) * ones
     counters = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
     while True:
-        yield _mixed(counters, size, low, codes)  # a call, so the paused frame holds no block
+        z = ((counters ^ counters >> 30) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
+        z = (z ^ z >> 31) & low
+        raw = (z | z * 0xAAAAAAAAAAAAAAAB << 1 & codes).to_bytes(16 * size, "little")
+        values = array("Q", raw)
+        if sys.byteorder == "big":
+            values.byteswap()
+        yield values[::2], raw[8::16].translate(_FOLD)
         counters = (counters + step) & low
-
-
-def _mixed(z: int, size: int, low: int, codes: int) -> tuple[array, bytes]:
-    """The values of ``size`` lanes of counters, and each mod 3.  Bits 63 and 64 of z·⌈2^65/3⌉,
-    for z < 2^64, are the top two bits of the fraction of z/3 plus less than 1/6: code r for a
-    residue r of 0 or 1, and 2 or 3 for 2, which one ``translate`` folds.  A code is written into
-    the free upper half of its lane, so one ``to_bytes`` gives both."""
-    z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
-    z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
-    z = (z ^ z >> 31) & low
-    raw = (z | z * 0xAAAAAAAAAAAAAAAB << 1 & codes).to_bytes(16 * size, "little")
-    values = array("Q", raw)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[::2], raw[8::16].translate(_FOLD)
 
 
 def standard_space(m: int, n: int) -> ParameterSpace:
@@ -132,14 +126,18 @@ _CHUNK = 1024  # random instances drawn and checked together: one chunk at the d
 _BLOCK = 512  # stream values pulled at a time
 
 
+def _sets(space, columns: Iterable[bytes]) -> tuple:
+    """One set over ``space`` per operand position, packed from its column of cell states."""
+    return tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
+
+
 def _instances(columns: list[bytes], sizes: Iterable) -> Iterator[tuple]:
     """The operand tuples of a chunk whose operand j is ``columns[j]``, its instances' cell
     states one after another, m·n cells each; each tuple over its size's standard space."""
     at = 0
     for m, n in sizes:
-        space, cut = _standard_space(m, n), slice(at, at + m * n)
-        yield tuple(BipolarSoftSet._closed(space, *_packed(column[cut])) for column in columns)
-        at = cut.stop
+        yield _sets(_standard_space(m, n), [column[at:at + m * n] for column in columns])
+        at += m * n
 
 
 def _size_groups(columns: list[bytes], sizes: list) -> list[tuple]:
@@ -149,12 +147,9 @@ def _size_groups(columns: list[bytes], sizes: list) -> list[tuple]:
     for m, n in sizes:
         by_size.setdefault((m, n), []).append(slice(at, at + m * n))
         at += m * n
-    groups = []
-    for (m, n), cuts in by_size.items():
-        space = _LaneSpace(m, n, len(cuts))
-        joined = (b"".join(map(column.__getitem__, cuts)) for column in columns)
-        groups.append(tuple(BipolarSoftSet._closed(space, *_packed(lanes)) for lanes in joined))
-    return groups
+    return [_sets(_LaneSpace(m, n, len(cuts)), [b"".join(map(column.__getitem__, cuts))
+                                                for column in columns])
+            for (m, n), cuts in by_size.items()]
 
 
 def gen_bss(
@@ -261,14 +256,17 @@ def _refute(reason: str) -> dict:
 
 
 def _differs(left: BipolarSoftSet, right: BipolarSoftSet) -> Violation:
-    """None if structurally equal, else the first divergent parameter's cells."""
+    """None if structurally equal, else the first divergent parameter's cells, or a bare
+    refutation if no parameter can be named: on a lane set, which has no ids, or past them all."""
     if left.pos_bits == right.pos_bits and left.neg_bits == right.neg_bits:
         return None
+    if not isinstance(left.space, ParameterSpace):
+        return _refute("sides disagree")
     for (e, *lhs), (_, *rhs) in zip(left._assignment(), right._assignment()):
         if lhs != rhs:
             sides = [{"positive": list(pos), "negative": list(neg)} for pos, neg in (lhs, rhs)]
             return {"parameter": e, "reason": "sides disagree", "left": sides[0], "right": sides[1]}
-    return None
+    return _refute("sides disagree")
 
 
 # A row is read from its formula in the paper's notation: operands A, B and C, the constants
@@ -493,8 +491,7 @@ def _drawn(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[t
     """``_chunks`` as ``_sweep`` items: each operand position packed into one lane set of all
     sizes, instance t in its m_t·n_t cells in stream order, size groups only if asked."""
     for arity, columns, sizes in _chunks(seed, count, max_m, max_n, arities):
-        space = _MixedLanes(len(columns[0]))
-        lanes = tuple(BipolarSoftSet._closed(space, *_packed(column)) for column in columns)
+        lanes = _sets(_MixedLanes(len(columns[0])), columns)
         yield arity, (len(sizes), partial(_instances, columns, sizes), lanes,
                       lru_cache(maxsize=1)(partial(_size_groups, columns, sizes)))
 
@@ -593,7 +590,7 @@ def _sweep(pending: dict[int, list[Law]], items: Iterator[tuple]) -> dict[str, _
                 try:
                     if groups and all(law.evaluate(*group) is None for group in groups()):
                         continue
-                except AttributeError:  # a witness read ids, or a product was nested
+                except AttributeError:  # an operation read ids, or a product was nested
                     pass
             for i, operands in enumerate(instances()):
                 if law.evaluate(*operands) is not None:

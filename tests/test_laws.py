@@ -1034,6 +1034,9 @@ def test_random_tuples_pack_no_lanes(monkeypatch):
     assert gen_bss(5, 4, 3) == expected[0][0]  # one stream: its first instance's first set
 
 
+BARE_REFUTATION = {"parameter": None, "reason": "sides disagree"}
+
+
 def test_a_mixed_size_lane_set_has_no_sizes():
     (_, (_, _, lanes, _)), = laws_module._drawn(5, 50, 3, 2, (2,))
     assert lanes[0].space is lanes[1].space  # so the lattice operations accept them
@@ -1042,6 +1045,16 @@ def test_a_mixed_size_lane_set_has_no_sizes():
             getattr(lanes[0].space, name)
     with pytest.raises(AttributeError):  # a product reads the sizes
         and_product(*lanes)
+    # sides that differ name no parameter, as the set has no ids
+    assert laws_module._differs(lanes[0], lanes[0].complement()) == BARE_REFUTATION
+
+
+def test_sides_that_differ_where_no_parameter_can_be_named_are_refuted_bare():
+    (_, (_, _, lanes, _)), = laws_module._pool_lanes(1, 2, 1)
+    assert laws_module._differs(lanes[0], lanes[0].complement()) == BARE_REFUTATION
+    space = standard_space(2, 2)  # its cells are bits 0 to 3, and bit 4 lies past them all
+    past = BipolarSoftSet._closed(space, 1 << 4, 0)
+    assert laws_module._differs(BipolarSoftSet._closed(space, 0, 0), past) == BARE_REFUTATION
 
 
 def test_a_fault_that_reads_sizes_falls_back_to_size_groups_then_one_at_a_time(monkeypatch):
@@ -1084,6 +1097,13 @@ def test_only_the_product_rows_ask_for_size_groups(monkeypatch):
     built.clear()
     run_catalogue(law_ids=[law.law_id for law in catalogue() if "product" not in law.law_id])
     assert built == []
+    # rows that fail a drawn chunk go straight to the scalar walk
+    law_ids = ["excluded-middle-unconditional", "union-null-identity"]
+    fast = run_catalogue(law_ids=law_ids, exhaustive=None, random_count=50)
+    assert built == []
+    assert fast == [check_law(law_id, random_tuples(laws_module.DEFAULT_SEED, 50,
+                                                    get_law(law_id).arity))
+                    for law_id in law_ids]
 
 
 def test_the_pool_lanes_are_built_once_and_hold_no_verdicts(monkeypatch):
