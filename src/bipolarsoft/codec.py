@@ -21,8 +21,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
-from .core import BipolarSoftSet, _space_of
-from .errors import InvalidArgument, InvalidSpace, ParseError
+from .core import BipolarSoftSet, _expected, _space_of
+from .errors import InvalidSpace, ParseError
 from .space import ParameterSpace
 
 _TOP_KEYS = ("universe", "pairs", "assignments")
@@ -159,7 +159,7 @@ def _json_value(text: str | bytes):
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply", "document") from None
     except TypeError:  # json.loads takes only str, bytes and bytearray
-        raise InvalidArgument(f"expected document text, got {type(text).__name__}") from None
+        raise _expected("document text", text) from None
 
 
 def parse(text: str | bytes) -> BipolarSoftSet:
@@ -167,15 +167,11 @@ def parse(text: str | bytes) -> BipolarSoftSet:
     return from_document(_json_value(text))
 
 
-def _not_a_path(value: object) -> InvalidArgument:
-    return InvalidArgument(f"expected a file path, got {type(value).__name__}")
-
-
 def load(path: str | bytes | Path) -> BipolarSoftSet:
     try:
         data = Path(os.fsdecode(path)).read_bytes()
     except TypeError:  # os.fsdecode takes only str, bytes and os.PathLike
-        raise _not_a_path(path) from None
+        raise _expected("a file path", path) from None
     return from_document(_json_value(data))  # what parse(data) returns or raises
 
 
@@ -183,7 +179,7 @@ def dump(bss: BipolarSoftSet, path: str | bytes | Path) -> None:
     try:  # refuses an int, which open() would take as a file descriptor to write to and close
         os.fspath(path)
     except TypeError:
-        raise _not_a_path(path) from None
+        raise _expected("a file path", path) from None
     text = serialize(bss)  # before the file is opened, which empties it
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -7,9 +7,14 @@ from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DisjointnessViolation, InvalidArgument, SpaceMismatch, UnknownParameter
-from .space import ParameterSpace
+from .space import ParameterSpace, _lookup
 
 Assignment = Mapping[str, tuple[Iterable[str], Iterable[str]]]
+
+
+def _expected(what: str, *values: object) -> InvalidArgument:
+    """The package's one type refusal, "expected <what>, got <type>"; two types join by " and "."""
+    return InvalidArgument(f"expected {what}, got {' and '.join(type(v).__name__ for v in values)}")
 
 
 def ensure_same_space(a: "BipolarSoftSet", b: "BipolarSoftSet") -> None:
@@ -17,21 +22,15 @@ def ensure_same_space(a: "BipolarSoftSet", b: "BipolarSoftSet") -> None:
     try:  # free on valid operands, unlike an isinstance check on every lattice call
         same = a.space is b.space or a.space == b.space
     except AttributeError:
-        raise InvalidArgument(f"expected two bipolar soft sets, got "
-                              f"{type(a).__name__} and {type(b).__name__}") from None
+        raise _expected("two bipolar soft sets", a, b) from None
     if not same:
         raise SpaceMismatch("operands are defined over different parameter spaces")
-
-
-def _not_a_space(value: object) -> InvalidArgument:
-    """The error for a value read as a parameter space, raised where its AttributeError is caught."""
-    return InvalidArgument(f"expected a parameter space, got {type(value).__name__}")
 
 
 def _instance(value, cls: type, what: str):
     """``value`` if it is a ``cls``; else InvalidArgument saying that ``what`` was expected."""
     if not isinstance(value, cls):
-        raise InvalidArgument(f"expected {what}, got {type(value).__name__}")
+        raise _expected(what, value)
     return value
 
 
@@ -104,7 +103,7 @@ class BipolarSoftSet:
         try:
             m, n = space.m, space.n
         except AttributeError:
-            raise _not_a_space(space) from None
+            raise _expected("a parameter space", space) from None
         if isinstance(pos, int) and isinstance(neg, int):  # packed: check the masks it holds
             pos, neg = _unpack(pos, m, n), _unpack(neg, m, n)
         elif not (isinstance(pos, Iterable) and isinstance(neg, Iterable)):
@@ -140,7 +139,7 @@ class BipolarSoftSet:
         try:
             pos, neg, index = [0] * space.n, [0] * space.n, space.param_index
         except AttributeError:
-            raise _not_a_space(space) from None
+            raise _expected("a parameter space", space) from None
         for e, pair in assignment.items():
             if e not in index:
                 raise UnknownParameter(e)
@@ -168,7 +167,7 @@ class BipolarSoftSet:
         try:  # free on a valid space, which may also be the law checker's lane space
             return cls._closed(space, 0, space.cells_mask)
         except AttributeError:
-            raise _not_a_space(space) from None
+            raise _expected("a parameter space", space) from None
 
     @classmethod
     def absolute(cls, space: ParameterSpace) -> "BipolarSoftSet":
@@ -176,7 +175,7 @@ class BipolarSoftSet:
         try:
             return cls._closed(space, space.cells_mask, 0)
         except AttributeError:
-            raise _not_a_space(space) from None
+            raise _expected("a parameter space", space) from None
 
     # -- per-parameter access ----------------------------------------------
 
@@ -184,10 +183,7 @@ class BipolarSoftSet:
     neg_masks = property(lambda self: _unpack(self.neg_bits, self.space.m, self.space.n))
 
     def _offset(self, param: str) -> int:
-        try:
-            return self.space.param_index[param] * self.space.m
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise UnknownParameter(param) from None
+        return _lookup(self.space.param_index, param, UnknownParameter) * self.space.m
 
     def pos(self, param: str) -> tuple[str, ...]:
         """Objects approving ``param``, in universe order."""

@@ -27,8 +27,9 @@ rows' "absolute iff complete") is not the AND of its lanes, so for these ``_STAN
 one-cell instances stand in: an m×n set is a direct product of m·n one-cell sets, so such a row
 holds on every set once it holds on every one-cell instance (Birkhoff 1935).  Counts and witnesses
 are the scalar check's only if every operation is lane-local over instances of mixed sizes side by
-side (lane t of a result reads only lane t of the operands) and cell-local.  Nothing checks
-either: the tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
+side (lane t of a result reads only lane t of the operands) and cell-local.  The tests check both
+for the package's operations on a drawn chunk, its size groups, a pool batch and a 2×3 pair; nothing
+checks a patched or faulty one at run time: the tests' ``NONLOCAL_FAULTS`` pass ``run_catalogue``.
 
 Two catalogued laws are expected to fail: the unconditional excluded-middle forms, which
 break on any instance with a neutral cell.  Their corrected conditional forms must hold.
@@ -49,7 +50,7 @@ from . import codec
 from .core import BipolarSoftSet, _cell_states, _instance, _packed
 from .errors import BoundsTooLarge, InvalidArgument, UnknownLaw
 from .products import and_product, or_product
-from .space import ParameterSpace
+from .space import ParameterSpace, _lookup
 
 MAX_EXHAUSTIVE_CELLS = 12  # 3^12 instances per law from each source; anything larger is declined
 DEFAULT_RANDOM_BOUNDS = (6, 4)  # (max_m, max_n) of randomly sized instances
@@ -80,19 +81,19 @@ def _lanes(size: int) -> tuple[int, int, int, int]:
     return ones, int.from_bytes(ramp, "little"), ones * _MASK64, ones * 3 << 64
 
 
-def _splitmix_blocks(seed: int, first: int, size: int) -> Iterator[tuple[array, bytes]]:
-    """Consecutive ``size``-value blocks of the seed's splitmix64 stream from value ``first``
-    on, each as its values and each value mod 3.  Value i is mix(seed + (i + 1)·γ mod 2^64), so
-    a block is computed at once, one value per 128-bit lane of an int: a lane times a 64-bit
-    constant stays in its lane, and a mask drops what a right shift brings in from the next
-    lane.  The counters are multiplied into the lanes once and then step a block at a time.
+def _splitmix_blocks(seed: int, size: int) -> Iterator[tuple[array, bytes]]:
+    """Consecutive ``size``-value blocks of the seed's splitmix64 stream, each as its values and
+    each value mod 3.  Value i is mix(seed + (i + 1)·γ mod 2^64), so value f of seed s is value 0 of
+    seed s + f·γ, and a block is computed at once, one value per 128-bit lane of an int: a lane
+    times a 64-bit constant stays in its lane, and a mask drops what a right shift brings in from
+    the next lane.  The counters are multiplied into the lanes once and then step a block at a time.
     Bits 63 and 64 of z·⌈2^65/3⌉, for z < 2^64, are the top two bits of the fraction of z/3 plus
     less than 1/6: code r for a residue r of 0 or 1, and 2 or 3 for 2, which one ``translate``
     folds.  A code is written into the free upper half of its lane, so one ``to_bytes`` gives
     both."""
     ones, ramp, low, codes = _lanes(size)
     step = (size * _GAMMA & _MASK64) * ones
-    counters = (ramp + (seed + first * _GAMMA & _MASK64) * ones) & low
+    counters = (ramp + (seed & _MASK64) * ones) & low
     while True:
         z = ((counters ^ counters >> 30) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
@@ -441,7 +442,7 @@ def _chunks(seed: int, count: int, max_m: int, max_n: int, arities) -> Iterator[
     block = min(_BLOCK, count * (2 + max(arities) * max_m * max_n))
     sizing, states, base = array("Q"), bytearray(), 0
     cursors, left = dict.fromkeys(arities, 0), dict.fromkeys(arities, count)
-    blocks = _splitmix_blocks(seed, 0, block)  # the next block starts at ``base + len(sizing)``
+    blocks = _splitmix_blocks(seed, block)  # the next block starts at ``base + len(sizing)``
 
     def fill(end: int) -> None:  # hold stream values ``base`` to ``base + end``, and each mod 3
         while len(sizing) < end:
@@ -614,10 +615,7 @@ def catalogue() -> tuple[Law, ...]:
 
 
 def get_law(law_id: str) -> Law:
-    try:
-        return _CATALOGUE[law_id]
-    except (KeyError, TypeError):  # TypeError: an unhashable id
-        raise UnknownLaw(law_id) from None
+    return _lookup(_CATALOGUE, law_id, UnknownLaw)
 
 
 def check_law(law_id: str, instances: Iterable) -> LawReport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import and_, or_
 
-from .core import BipolarSoftSet, _not_a_space, ensure_same_space
+from .core import BipolarSoftSet, _expected, ensure_same_space
 from .space import ParameterSpace
 
 
@@ -19,7 +19,7 @@ def product_space(base: ParameterSpace) -> ParameterSpace:
     try:  # not an isinstance check: the law checker's lane spaces are squared here too
         return base._squared
     except AttributeError:
-        raise _not_a_space(base) from None
+        raise _expected("a parameter space", base) from None
 
 
 def _product(a: BipolarSoftSet, b: BipolarSoftSet, approve, reject) -> BipolarSoftSet:

@@ -23,6 +23,14 @@ def _distinct(kind: str, ids: tuple[str, ...]) -> None:
         raise InvalidSpace(f"{kind} identifiers must be Unicode text ({exc.reason})") from None
 
 
+def _lookup(mapping, key, unknown: type):
+    """``mapping[key]``; ``unknown(key)`` if the key is absent or unhashable."""
+    try:
+        return mapping[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key
+        raise unknown(key) from None
+
+
 @dataclass(frozen=True)
 class ParameterSpace:
     """Universe of objects plus two aligned parameter lists.
@@ -119,10 +127,7 @@ class ParameterSpace:
 
     def negation(self, param: str) -> str:
         """The negative parameter paired with ``param``."""
-        try:
-            return self.negative_params[self.param_index[param]]
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise UnknownParameter(param) from None
+        return self.negative_params[_lookup(self.param_index, param, UnknownParameter)]
 
     def mask_of(self, members: Iterable[str]) -> int:
         """Bit mask selecting ``members``; bit ``i`` stands for ``universe[i]``."""
@@ -133,7 +138,7 @@ class ParameterSpace:
         index = self.object_index
         mask = 0
         for u in members:
-            try:
+            try:  # not ``_lookup``: a call per member of every parsed document costs too much
                 mask |= 1 << index[u]
             except (KeyError, TypeError):
                 raise UnknownObject(u) from None

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
-from .core import BipolarSoftSet, _cell_states, _instance, _packed, _space_of
+from .core import BipolarSoftSet, _cell_states, _expected, _instance, _packed, _space_of
 from .errors import DimensionMismatch, InvalidArgument, LabelMismatch
 from .space import ParameterSpace
 
@@ -96,8 +96,7 @@ def from_table(table: TabularForm, space: ParameterSpace) -> BipolarSoftSet:
     Exact inverse of :func:`to_table`; the cells were checked where the table was built.
     """
     if not (isinstance(table, TabularForm) and isinstance(space, ParameterSpace)):
-        raise InvalidArgument(f"expected a table and a parameter space, got "
-                              f"{type(table).__name__} and {type(space).__name__}")
+        raise _expected("a table and a parameter space", table, space)
     if len(table.row_labels) != space.m or len(table.col_labels) != space.n:
         raise DimensionMismatch(
             f"table is {len(table.row_labels)}x{len(table.col_labels)}, "

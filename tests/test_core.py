@@ -20,10 +20,13 @@ from bipolarsoft import (
     TabularForm,
     and_product,
     check_law,
+    dump,
+    ensure_same_space,
     enumerate_bss,
     exhaustive_tuples,
     from_table,
     gen_bss,
+    get_law,
     load,
     or_product,
     parse,
@@ -50,6 +53,7 @@ from bipolarsoft.errors import (
     InvalidArgument,
     InvalidSpace,
     SpaceMismatch,
+    UnknownLaw,
     UnknownObject,
     UnknownParameter,
 )
@@ -451,6 +455,42 @@ def test_bad_arguments_raise_package_errors(call, error, monkeypatch):
         call()
     assert isinstance(err.value, BipolarSoftError)
     assert error is BoundsTooLarge or isinstance(err.value, ValueError)
+
+
+_A = gen_bss(1)  # any set, whose space is a valid one
+
+
+# Each type refusal and unknown-id lookup, as ``main`` prints it after ``error: <type>: ``.
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: load(3), InvalidArgument, "expected a file path, got int"),
+    (lambda: dump(_A, 3), InvalidArgument, "expected a file path, got int"),
+    (lambda: parse(3), InvalidArgument, "expected document text, got int"),
+    (lambda: BipolarSoftSet.null(3), InvalidArgument, "expected a parameter space, got int"),
+    (lambda: BipolarSoftSet.absolute(3), InvalidArgument, "expected a parameter space, got int"),
+    (lambda: product_space(3), InvalidArgument, "expected a parameter space, got int"),
+    (lambda: BipolarSoftSet(3, 0, 0), InvalidArgument, "expected a parameter space, got int"),
+    (lambda: BipolarSoftSet.from_assignment(3, {}), InvalidArgument,
+     "expected a parameter space, got int"),
+    (lambda: _A.union(3), InvalidArgument,
+     "expected two bipolar soft sets, got BipolarSoftSet and int"),
+    (lambda: ensure_same_space(1, 2), InvalidArgument,
+     "expected two bipolar soft sets, got int and int"),
+    (lambda: from_table(3, 4), InvalidArgument,
+     "expected a table and a parameter space, got int and int"),
+    (lambda: to_table(3), InvalidArgument, "expected a bipolar soft set, got int"),
+    (lambda: recheck(3), InvalidArgument, "expected a law report, got int"),
+    (lambda: _A.pos([]), UnknownParameter, "unknown parameter []"),
+    (lambda: _A.space.negation([]), UnknownParameter, "unknown parameter []"),
+    (lambda: get_law([]), UnknownLaw, "unknown law []"),
+    (lambda: get_law("zz"), UnknownLaw, "unknown law 'zz'"),
+], ids=["load", "dump", "parse", "null", "absolute", "product-space", "constructor",
+        "from-assignment", "union", "ensure-same-space", "from-table", "to-table", "recheck",
+        "pos", "negation", "get-law-unhashable", "get-law-unknown"])
+def test_each_refusal_reads_its_pinned_line(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, text)
+    assert err.value.__cause__ is None
 
 
 JUNK = (5, "x", None, [1], {"a": 1}, object(), b"x", -1, (), 1.5, True)

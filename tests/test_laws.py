@@ -761,13 +761,13 @@ def test_lanes_that_flag_a_passing_instance_fall_back_to_one_at_a_time(monkeypat
 
 def _counting_stream(monkeypatch):
     """Patch the block draw so that every block yielded is appended to the list returned,
-    as ``(seed, first, size)``."""
+    as ``(seed, first, size)``, ``first`` the index of the block's first value in the stream."""
     blocks = []
     draw = laws_module._splitmix_blocks
 
-    def counted(seed, first, size):
-        for k, block in enumerate(draw(seed, first, size)):
-            blocks.append((seed, first + k * size, size))
+    def counted(seed, size):
+        for k, block in enumerate(draw(seed, size)):
+            blocks.append((seed, k * size, size))
             yield block
 
     monkeypatch.setattr(laws_module, "_splitmix_blocks", counted)
@@ -871,8 +871,9 @@ BLOCK_SIZES = [1, 3, 26, 74, laws_module._BLOCK]
 
 def _assert_block_is_the_reference(seed, first, size):
     """Three consecutive blocks from ``first`` on, from one generator, so that the counters
-    carried from one block to the next are checked too."""
-    blocks = laws_module._splitmix_blocks(seed, first, size)
+    carried from one block to the next are checked too.  Value ``first`` of ``seed`` is value 0
+    of ``seed + first·GAMMA``, so the generator is asked for that seed's stream."""
+    blocks = laws_module._splitmix_blocks(seed + first * GAMMA, size)
     stream = itertools.islice(oracle.splitmix64(seed), first, None)
     for k in range(3):
         values, residues = next(blocks)
@@ -908,7 +909,7 @@ def test_the_residue_kernel_is_exact_at_its_edges(value, size, lane):
     # the seed whose value ``lane``, mix(seed + (lane + 1)·GAMMA), is ``value``
     seed = (oracle.splitmix64_state(value) - (lane + 1) * GAMMA) % 2 ** 64
     assert next(itertools.islice(oracle.splitmix64(seed), lane, None)) == value
-    values, residues = next(laws_module._splitmix_blocks(seed, 0, size))
+    values, residues = next(laws_module._splitmix_blocks(seed, size))
     assert (values[lane], residues[lane]) == (value, value % 3)
 
 
@@ -1188,3 +1189,144 @@ def test_random_source_memory_does_not_grow_with_the_count():
         finally:
             tracemalloc.stop()
         assert large < 1.5 * small, (laws, small, large)
+
+
+# -- lane- and cell-locality of the package's own operations ----------------------------------
+# A lane verdict is the scalar check's only if every operation is lane-local (lane t of a result
+# reads only lane t of the operands) and cell-local.  These tests check the package's own
+# operations on its own layouts; nothing checks a patched or faulty operation at run time.
+
+
+def _layouts():
+    """The package's lane layouts, as ``(lane sets, operand pairs, uniform)``: a drawn chunk's
+    mixed-size lane sets, each of its size groups, and a pool batch."""
+    (_, (_, instances, lanes, groups)), = laws_module._drawn(5, 60, 3, 2, (2,))
+    tuples, by_size = list(instances()), {}
+    for operands in tuples:
+        by_size.setdefault((operands[0].space.m, operands[0].space.n), []).append(operands)
+    layouts = [(lanes, tuples, False)]
+    layouts += [(group, by_size[group[0].space.m, group[0].space.n], True) for group in groups()]
+    (_, (_, walk, pool, _)), = laws_module._pool_lanes(1, 2, 2)
+    return layouts + [(pool, list(walk()), True)]
+
+
+def _bits(s):
+    return s.pos_bits, s.neg_bits
+
+
+def _decided(s):  # s with each neutral cell rejecting, so complete in every lane
+    return BipolarSoftSet._closed(s.space, s.pos_bits, s.space.cells_mask & ~s.pos_bits)
+
+
+# Each result that acts cell by cell, and each subset question, as a function of a pair.
+CELLWISE = [("union", lambda x, y: x.union(y)), ("intersection", lambda x, y: x.intersection(y)),
+            ("complement", lambda x, y: x.complement()),
+            ("null", lambda x, y: BipolarSoftSet.null(x.space)),
+            ("absolute", lambda x, y: BipolarSoftSet.absolute(x.space))]
+SUBSET_QUESTIONS = [lambda x, y: (x, y), lambda x, y: (y, x), lambda x, y: (x, x.union(y)),
+                    lambda x, y: (x.intersection(y), y)]
+
+
+def _part_mismatches(a, b, pairs):
+    """Where the operations on ``(a, b)``, which hold ``pairs`` side by side, pair t in the
+    m_t·n_t cells after those of the pairs before it, differ from the operations on ``pairs``:
+    part by part for each ``CELLWISE`` result; each part's subset and completeness verdict with
+    every other part true; and each verdict on the whole against the AND over the parts."""
+    space = a.space
+    widths = [x.space.m * x.space.n for x, _ in pairs]
+    starts = list(itertools.accumulate(widths, initial=0))
+
+    def part(s, t):
+        return tuple(bits >> starts[t] & (1 << widths[t]) - 1 for bits in _bits(s))
+
+    def alone(s, t, bound):  # part t of s, every other part the bound: null (0) or absolute (1)
+        mask = (1 << widths[t]) - 1 << starts[t]
+        rest = space.cells_mask & ~mask
+        return BipolarSoftSet._closed(space, s.pos_bits & mask | rest * bound,
+                                      s.neg_bits & mask | rest * (1 - bound))
+
+    found = []
+    for name, operation in CELLWISE:
+        result = operation(a, b)
+        found += [(name, t) for t, (x, y) in enumerate(pairs)
+                  if part(result, t) != _bits(operation(x, y))]
+    for t, (x, y) in enumerate(pairs):
+        if alone(a, t, 0).is_subset_of(alone(b, t, 1)) != x.is_subset_of(y):
+            found.append(("is_subset_of", t))
+        if alone(a, t, 1).is_complete() != x.is_complete():
+            found.append(("is_complete", t))
+    for question in SUBSET_QUESTIONS:
+        left, right = question(a, b)
+        if left.is_subset_of(right) != all(u.is_subset_of(v)
+                                           for u, v in itertools.starmap(question, pairs)):
+            found.append(("is_subset_of", "AND"))
+    firsts = [x for x, _ in pairs]
+    for whole, parts in [(a, firsts), (_decided(a), list(map(_decided, firsts)))]:
+        if whole.is_complete() != all(x.is_complete() for x in parts):
+            found.append(("is_complete", "AND"))
+    return found
+
+
+def _row_mismatches(a, b, pairs):
+    """Where row k of lane t of each product of lane sets of one size, at bit k·(lanes·m·n) +
+    t·m·n, differs from row k of the product of pair t, at bit k·m·n."""
+    width, rows = a.space.m * a.space.n, a.space.n
+    stride = len(pairs) * width
+    found = []
+    for product in (and_product, or_product):
+        result = product(a, b)
+        for t, (x, y) in enumerate(pairs):
+            if [_rows(bits >> t * width, stride, width, rows) for bits in _bits(result)] \
+                    != [_rows(bits, width, width, rows) for bits in _bits(product(x, y))]:
+                found.append((product.__name__, t))
+    return found
+
+
+def _lane_mismatches(lanes, tuples, uniform):
+    """``_part_mismatches`` of a layout's lane sets, and ``_row_mismatches`` if of one size."""
+    return _part_mismatches(*lanes, tuples) + (_row_mismatches(*lanes, tuples) if uniform else [])
+
+
+def test_the_operations_are_lane_local_on_every_lane_layout():
+    (_, mixed, _), *groups, (_, pool, _) = layouts = _layouts()
+    assert (len(mixed), len(pool)) == (60, 81)
+    assert len(groups) > 1 and sum(len(tuples) for _, tuples, _ in groups) == 60
+    for lanes, tuples, uniform in layouts:
+        assert _lane_mismatches(lanes, tuples, uniform) == []
+
+
+def _cell_mismatches(a, b):
+    """``_part_mismatches`` of an m×n pair against its one-cell projections, cell c its part c;
+    and where a product's cell (i, (k, l)) differs from the product of cell (i, k) of ``a``
+    and cell (i, l) of ``b``."""
+    m, n = a.space.m, a.space.n
+    one = standard_space(1, 1)
+
+    def cell(s, c):
+        return BipolarSoftSet._closed(one, s.pos_bits >> c & 1, s.neg_bits >> c & 1)
+
+    found = _part_mismatches(a, b, [(cell(a, c), cell(b, c)) for c in range(m * n)])
+    for product in (and_product, or_product):
+        result = product(a, b)
+        for i, k, l in itertools.product(range(m), range(n), range(n)):
+            if _bits(cell(result, (k * n + l) * m + i)) \
+                    != _bits(product(cell(a, k * m + i), cell(b, l * m + i))):
+                found.append((product.__name__, (i, k, l)))
+    return found
+
+
+# A 2×3 pair over all three states: A approves one cell and rejects one, B approves another
+# one, so each of NONLOCAL_FAULTS fires on the pair and on none of its one-cell projections.
+CELL_PAIR = [BipolarSoftSet._closed(standard_space(2, 3), *laws_module._packed(bytes(states)))
+             for states in ((0, 2, 1, 2, 2, 2), (1, 0, 2, 2, 1, 2))]
+
+
+def test_the_operations_are_cell_local_on_a_2x3_pair():
+    assert _cell_mismatches(*CELL_PAIR) == []
+
+
+@pytest.mark.parametrize("fault, _", NONLOCAL_FAULTS, ids=NONLOCAL_IDS)
+def test_the_locality_checks_see_each_nonlocal_fault(fault, _, monkeypatch):
+    monkeypatch.setattr(*fault)
+    assert _cell_mismatches(*CELL_PAIR)
+    assert any(_lane_mismatches(*layout) for layout in _layouts())
